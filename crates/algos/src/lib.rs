@@ -63,5 +63,5 @@ pub use multi::{BroadcastDefect, MultiPacket, MultiReport};
 pub use pack::{run_pack, PackProgram};
 pub use pipeline::{run_pipeline, PipelineProgram};
 pub use repeat::{run_repeat, run_repeat_greedy, Pacing, RepeatProgram};
-pub use replay::{replay, ReplayProgram, ToSchedule};
+pub use replay::{replay, replay_programs, ReplayProgram, ToSchedule};
 pub use svg::{tree_to_svg, SvgOptions};

@@ -75,26 +75,32 @@ impl Program<()> for ReplayProgram {
     }
 }
 
+/// One [`ReplayProgram`] per processor of `schedule`, each sending
+/// exactly that processor's scheduled sends at their scheduled times.
+pub fn replay_programs(schedule: &Schedule) -> Vec<Box<dyn Program<()>>> {
+    let mut per_proc: Vec<Vec<TimedSend>> = vec![Vec::new(); schedule.n() as usize];
+    for s in schedule.sends() {
+        per_proc[s.src as usize].push(*s);
+    }
+    per_proc
+        .into_iter()
+        .map(|sends| -> Box<dyn Program<()>> {
+            Box::new(ReplayProgram {
+                my_sends: sends,
+                next: 0,
+            })
+        })
+        .collect()
+}
+
 /// Replays `schedule` on the discrete-event engine (strict mode) and
 /// returns the report. The report's completion equals
 /// `schedule.completion()` and is violation-free iff the schedule's
 /// ports validate.
 pub fn replay(schedule: &Schedule) -> RunReport<()> {
-    let n = schedule.n() as usize;
-    let mut per_proc: Vec<Vec<TimedSend>> = vec![Vec::new(); n];
-    for s in schedule.sends() {
-        per_proc[s.src as usize].push(*s);
-    }
-    let mut programs: Vec<Box<dyn Program<()>>> = Vec::with_capacity(n);
-    for sends in per_proc {
-        programs.push(Box::new(ReplayProgram {
-            my_sends: sends,
-            next: 0,
-        }));
-    }
     let model = Uniform(schedule.latency());
-    Simulation::new(n, &model)
-        .run(programs)
+    Simulation::new(schedule.n() as usize, &model)
+        .run(replay_programs(schedule))
         .expect("schedule replay cannot diverge")
 }
 

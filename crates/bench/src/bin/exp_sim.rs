@@ -1,7 +1,7 @@
 //! Experiment SIM: calendar-queue engine throughput at scale.
 //!
 //! Runs the paper's BCAST workload on the fast engine
-//! ([`Simulation::run`]: fixed-point `FastTime`, O(1) bucket queue)
+//! ([`Simulation::run`]: `i64` lattice ticks, O(1) bucket queue)
 //! across n ∈ {10³, 10⁴, 10⁵, 10⁶}, reporting wall-clock and events/sec
 //! to `BENCH_sim.json`. Every run's completion time is checked against
 //! the paper's closed form `f_λ(n)` by exact rational equality — the
@@ -12,13 +12,12 @@
 //! * BCAST at n = 10⁶ (two million engine events) must finish under
 //!   `$SIM_BUDGET_SECS` (default 60) — the headline "million processors
 //!   in seconds" property of the calendar-queue rewrite;
-//! * at an off-lattice λ (7/3, which never hits the half-unit lattice,
-//!   so every event rides the exact-`Ratio` fallback) the fast engine
-//!   must agree with the seed reference engine
-//!   ([`Simulation::run_reference`]) on completion, event count,
-//!   message count, and per-processor statistics. The full
+//! * at λ = 7/3, off the half-unit lattice (the fast engine counts
+//!   sixths of a unit there), the fast engine must agree with the seed
+//!   reference engine ([`Simulation::run_reference`]) on completion,
+//!   event count, message count, and per-processor statistics. The full
 //!   trace-identity pin lives in `tests/engine_differential.rs`; this
-//!   gate keeps the release-mode fallback path honest in CI.
+//!   gate keeps the release-mode refined-lattice path honest in CI.
 //!
 //! The reference engine is also timed at n ≤ 10⁵ for a speedup column;
 //! at 10⁶ only the fast engine runs (the point of the rewrite).
@@ -109,10 +108,10 @@ fn main() {
         "BCAST at n = 10⁶ took {fast_secs_at_million:.1} s, over the {budget_secs:.0} s budget"
     );
 
-    // Fallback-parity gate: λ = 7/3 is off the half-unit lattice, so
-    // the fast engine's calendar never fires and every event takes the
-    // exact-`Ratio` fallback — which must behave exactly like the
-    // reference engine.
+    // Parity gate off half-unit ticks: λ = 7/3 puts the fast engine on
+    // sixths of a unit (D = lcm(2, 3)), which must behave exactly like
+    // the reference engine. The report keys keep their historical
+    // `fallback_` names.
     let lam_off = Latency::from_ratio(7, 3);
     let n_off = 20_000usize;
     let uni_off = Uniform(lam_off);
@@ -135,14 +134,14 @@ fn main() {
     mismatches += u32::from(fast.proc_stats != reference.proc_stats);
     assert_eq!(
         mismatches, 0,
-        "off-lattice fallback diverged from the reference engine at λ = 7/3"
+        "the fast engine diverged from the reference engine at λ = 7/3"
     );
     assert_eq!(
         fast.completion,
         runtimes::bcast_time(n_off as u128, lam_off)
     );
     println!(
-        "fallback parity: BCAST({n_off}, 7/3) fast {fast_off_secs:.3} s vs ref {ref_off_secs:.3} s, \
+        "λ = 7/3 parity: BCAST({n_off}, 7/3) fast {fast_off_secs:.3} s vs ref {ref_off_secs:.3} s, \
          completion {} on both engines",
         fast.completion
     );

@@ -101,7 +101,22 @@ USAGE:
                                              graph: processors the graph cuts off from
                                              the originator are reported as P0019
 
-<lambda> accepts integers, fractions and decimals: 3, 5/2, 2.5";
+<lambda> accepts integers, fractions and decimals: 3, 5/2, 2.5
+
+EXIT STATUS:
+    0  success
+    1  invalid input (an \"error:\" line on stderr, e.g. a time out of range),
+       or lint/check/analyze found diagnostics at the --deny level; with
+       --format json the report goes to stdout, otherwise to stderr
+    2  usage error";
+
+/// Whether `args` ask for machine-readable output (`--format json`). A
+/// failing command's JSON report then belongs on stdout, where a
+/// pipeline reads it; a rendered text report stays on stderr.
+pub fn wants_json(args: &[String]) -> bool {
+    args.windows(2)
+        .any(|w| w[0] == "--format" && w[1] == "json")
+}
 
 /// Entry point: parses `args` and returns the text to print.
 ///
@@ -464,6 +479,7 @@ fn lint_streaming(
     as_json: bool,
 ) -> Result<String, CliError> {
     use postal_obs::{JsonlParser, LintStream, StreamOrdering};
+    use postal_verify::json::{TimeLattice, TimeRangeError};
     use postal_verify::LintOptions;
     use std::io::{BufRead as _, Cursor, Read as _};
     if !is_jsonl {
@@ -481,7 +497,9 @@ fn lint_streaming(
     // still the exact batch report.
     let mut stream: Option<LintStream> = None;
     let mut header: Option<(u32, Latency, u64, u64)> = None;
-    for line in Cursor::new(first_line).chain(reader).lines() {
+    // Every time the linter compares must share one tick lattice with λ.
+    let mut lattice: Option<TimeLattice> = None;
+    for (i, line) in Cursor::new(first_line).chain(reader).lines().enumerate() {
         let line = line.map_err(|e| invalid(&e))?;
         let event = parser.line(&line).map_err(|e| invalid(&e))?;
         if stream.is_none() {
@@ -489,6 +507,7 @@ fn lint_streaming(
                 let lam = meta.lambda.ok_or_else(|| {
                     invalid(&"log has no uniform lambda; cannot reduce to a schedule")
                 })?;
+                lattice = Some(TimeLattice::new(lam).map_err(|e| invalid(&e))?);
                 let messages = m_override.or(meta.messages).unwrap_or(1);
                 let dropped = meta.dropped_events.unwrap_or(0);
                 header = Some((meta.n, lam, messages, dropped));
@@ -509,7 +528,13 @@ fn lint_streaming(
                 });
             }
         }
-        if let (Some(ev), Some(s)) = (event, stream.as_mut()) {
+        if let (Some(ev), Some(s), Some(lattice)) = (event, stream.as_mut(), lattice.as_mut()) {
+            lattice.admit_event(&ev).map_err(|t| {
+                invalid(&TimeRangeError {
+                    field: format!("line {}", i + 1),
+                    value: t.as_ratio(),
+                })
+            })?;
             s.on_event(&ev);
         }
     }
@@ -1038,6 +1063,16 @@ impl OutputOpts {
     fn uses_ring(&self) -> bool {
         self.sample.is_some() || self.ring_capacity.is_some()
     }
+
+    /// True when `simulate` reads the run's event log: an exporter, the
+    /// ring recorder or the topology edge count.
+    fn needs_log(&self) -> bool {
+        self.trace_out.is_some()
+            || self.events_out.is_some()
+            || self.metrics_out.is_some()
+            || self.uses_ring()
+            || self.topology.is_some()
+    }
 }
 
 /// Splits an argument list into positionals and the shared output flags.
@@ -1113,43 +1148,58 @@ fn split_output_flags(args: &[String]) -> Result<(Vec<String>, OutputOpts), CliE
     Ok((pos, opts))
 }
 
-/// One simulated workload, with its observability log attached.
+/// One simulated workload, with its observability log attached when
+/// something reads it.
 struct SimRun {
     completion: Time,
     messages: usize,
     violations: usize,
-    log: ObsLog,
+    log: Option<ObsLog>,
     /// Algorithm-specific trailing line (e.g. combine's root total).
     extra: Option<String>,
 }
 
-fn observed<P>(report: &RunReport<P>, n: usize, m: u32, lam: Latency) -> SimRun {
+fn observed<P>(report: &RunReport<P>, n: usize, m: u32, lam: Latency, want_log: bool) -> SimRun {
     SimRun {
         completion: report.completion,
         messages: report.messages(),
         violations: report.violations.len(),
-        log: log_from_report(report, "event", n as u32, Some(lam), Some(m as u64)),
+        log: want_log
+            .then(|| log_from_report(report, "event", n as u32, Some(lam), Some(m as u64))),
         extra: None,
     }
 }
 
-/// Runs one named algorithm on the event simulator and captures its
-/// observability log — the single entry point `simulate` and `stats`
-/// share, so both always describe the same run the exporters saw.
-fn run_workload(algo: &str, n: usize, m: u32, lam: Latency) -> Result<SimRun, CliError> {
+/// Runs one named algorithm on the event simulator and, when `want_log`
+/// is set, captures its observability log — the single entry point
+/// `simulate` and `stats` share, so both always describe the same run
+/// the exporters saw.
+fn run_workload(
+    algo: &str,
+    n: usize,
+    m: u32,
+    lam: Latency,
+    want_log: bool,
+) -> Result<SimRun, CliError> {
     let run = match algo {
-        "bcast" => observed(&run_bcast(n, lam), n, m, lam),
-        "repeat" => observed(&run_repeat(n, m, lam).report, n, m, lam),
-        "repeat-greedy" => observed(&run_repeat_greedy(n, m, lam).report, n, m, lam),
-        "pack" => observed(&run_pack(n, m, lam).report, n, m, lam),
-        "pipeline" => observed(&run_pipeline(n, m, lam).report, n, m, lam),
-        "line" => observed(&run_dtree(n, m, lam, 1).report, n, m, lam),
-        "binary" => observed(&run_dtree(n, m, lam, 2).report, n, m, lam),
+        "bcast" => observed(&run_bcast(n, lam), n, m, lam, want_log),
+        "repeat" => observed(&run_repeat(n, m, lam).report, n, m, lam, want_log),
+        "repeat-greedy" => observed(&run_repeat_greedy(n, m, lam).report, n, m, lam, want_log),
+        "pack" => observed(&run_pack(n, m, lam).report, n, m, lam, want_log),
+        "pipeline" => observed(&run_pipeline(n, m, lam).report, n, m, lam, want_log),
+        "line" => observed(&run_dtree(n, m, lam, 1).report, n, m, lam, want_log),
+        "binary" => observed(&run_dtree(n, m, lam, 2).report, n, m, lam, want_log),
         "star" => {
             if n < 2 {
                 return Err(CliError::Invalid("star needs n ≥ 2".into()));
             }
-            observed(&run_dtree(n, m, lam, n as u64 - 1).report, n, m, lam)
+            observed(
+                &run_dtree(n, m, lam, n as u64 - 1).report,
+                n,
+                m,
+                lam,
+                want_log,
+            )
         }
         _ if algo.starts_with("dtree:") => {
             let d: u64 = algo[6..]
@@ -1158,22 +1208,28 @@ fn run_workload(algo: &str, n: usize, m: u32, lam: Latency) -> Result<SimRun, Cl
             if d == 0 {
                 return Err(CliError::Invalid("degree must be ≥ 1".into()));
             }
-            observed(&run_dtree(n, m, lam, d).report, n, m, lam)
+            observed(&run_dtree(n, m, lam, d).report, n, m, lam, want_log)
         }
         "combine" => {
             let values: Vec<u64> = (0..n as u64).collect();
             let o = combine::run_combine(&values, lam);
-            let mut run = observed(&o.report, n, m, lam);
+            let mut run = observed(&o.report, n, m, lam, want_log);
             run.extra = Some(format!("root total: {}", o.root_total));
             run
         }
         "gossip" => {
             let values: Vec<u64> = (0..n as u64).collect();
-            observed(&gossip::run_gossip(&values, lam).report, n, m, lam)
+            observed(
+                &gossip::run_gossip(&values, lam).report,
+                n,
+                m,
+                lam,
+                want_log,
+            )
         }
         "scatter" => {
             let items: Vec<u64> = (0..n as u64).collect();
-            observed(&scatter::run_scatter(&items, lam), n, m, lam)
+            observed(&scatter::run_scatter(&items, lam), n, m, lam, want_log)
         }
         other => {
             return Err(CliError::Invalid(format!(
@@ -1204,15 +1260,17 @@ fn apply_ring(log: ObsLog, opts: &OutputOpts) -> ObsLog {
 }
 
 /// Writes the requested exporter outputs, returning one note per file.
+/// Each exporter renders only when its flag is set.
 fn write_exports(log: &ObsLog, opts: &OutputOpts) -> Result<Vec<String>, CliError> {
     let mut notes = Vec::new();
-    for (path, what, contents) in [
-        (&opts.trace_out, "Chrome trace", to_chrome_trace(log)),
-        (&opts.events_out, "JSONL event log", to_jsonl(log)),
-        (&opts.metrics_out, "Prometheus metrics", to_prometheus(log)),
+    type Render = fn(&ObsLog) -> String;
+    for (path, what, render) in [
+        (&opts.trace_out, "Chrome trace", to_chrome_trace as Render),
+        (&opts.events_out, "JSONL event log", to_jsonl),
+        (&opts.metrics_out, "Prometheus metrics", to_prometheus),
     ] {
         if let Some(p) = path {
-            std::fs::write(p, contents)
+            std::fs::write(p, render(log))
                 .map_err(|e| CliError::Invalid(format!("cannot write {p}: {e}")))?;
             notes.push(format!("wrote {what} to {p}"));
         }
@@ -1234,12 +1292,11 @@ fn simulate(
         Some(spec) => Some(parse_topology(spec, n as u32)?),
         None => None,
     };
-    let mut run = run_workload(algo, n, m, lam)?;
+    let run = run_workload(algo, n, m, lam, opts.needs_log())?;
     // Count non-edge sends against the full log, before any sampling
     // drops events — the same set `Simulation::restrict_to` records.
-    let edge_violations = topo.map(|t| {
-        run.log
-            .events()
+    let edge_violations = topo.zip(run.log.as_ref()).map(|(t, log)| {
+        log.events()
             .iter()
             .filter(|e| match e {
                 postal_obs::ObsEvent::Send { src, dst, .. } => !t.is_edge(*src, *dst),
@@ -1247,12 +1304,21 @@ fn simulate(
             })
             .count()
     });
-    run.log = apply_ring(run.log, opts);
-    let notes = write_exports(&run.log, opts)?;
+    let log = run.log.map(|log| apply_ring(log, opts));
+    let notes = match &log {
+        Some(log) => write_exports(log, opts)?,
+        None => Vec::new(),
+    };
     let lb = runtimes::multi_lower_bound(n as u128, m as u64, lam);
-    let meta = run.log.meta();
-    let (recorded, dropped) = (run.log.events().len(), meta.dropped_events.unwrap_or(0));
-    let sample = meta.sample.clone();
+    // Sampling facts exist only for a ring-recorded log.
+    let (sample, recorded, dropped) = match &log {
+        Some(log) => (
+            log.meta().sample.clone(),
+            log.events().len(),
+            log.meta().dropped_events.unwrap_or(0),
+        ),
+        None => (None, 0, 0),
+    };
     if opts.as_json {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"command\": \"simulate\",");
@@ -1585,10 +1651,10 @@ fn stats(
             "--topology applies to `simulate`, `lint` and `analyze` only".into(),
         ));
     }
-    let mut run = run_workload(algo, n, m, lam)?;
-    run.log = apply_ring(run.log, opts);
-    let notes = write_exports(&run.log, opts)?;
-    let s = MetricsSummary::from_log(&run.log);
+    let run = run_workload(algo, n, m, lam, true)?;
+    let log = apply_ring(run.log.expect("stats always requests the log"), opts);
+    let notes = write_exports(&log, opts)?;
+    let s = MetricsSummary::from_log(&log);
     let lb = runtimes::multi_lower_bound(n as u128, m as u64, lam);
     // For a single message the paper's exact optimum f_λ(n) is known
     // (Theorem 6); report the gap against it rather than the looser

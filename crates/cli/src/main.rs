@@ -8,7 +8,7 @@
 //! postal simulate pipeline 64 8 5/2
 //! ```
 
-use postal_cli::{run, CliError};
+use postal_cli::{run, wants_json, CliError};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,6 +20,12 @@ fn main() {
         }
         Err(CliError::Invalid(msg)) => {
             eprintln!("error: {msg}");
+            std::process::exit(1);
+        }
+        // The exit code carries the verdict either way; a JSON report
+        // goes to stdout so pipelines can read it.
+        Err(CliError::LintFailed(report)) if wants_json(&args) => {
+            println!("{report}");
             std::process::exit(1);
         }
         Err(CliError::LintFailed(report)) => {

@@ -100,13 +100,10 @@ impl Latency {
         Time(self.0)
     }
 
-    /// λ as a [`crate::time::FastTime`] duration: fixed-point `i64`
-    /// half-units for every integer and half-integer λ (the paper's
-    /// whole grid), the exact rational fallback otherwise. The
-    /// simulator's hot path adds this to fixed-point send times, so an
-    /// on-lattice λ never touches `Ratio` arithmetic per message.
+    /// λ as a duration under the [`crate::time::FastTime`] name, which
+    /// is an alias of [`Time`]: the same value as [`Latency::as_time`].
     pub fn as_fast_time(self) -> crate::time::FastTime {
-        crate::time::FastTime::from_time(Time(self.0))
+        self.as_time()
     }
 
     /// The numerator `p` of λ = p/q in lowest terms: λ measured in ticks.
@@ -176,23 +173,6 @@ mod tests {
         assert_eq!(l.ticks_per_unit(), 2);
         assert_eq!(l.ceil(), 3);
         assert_eq!(l.floor(), 2);
-    }
-
-    #[test]
-    fn fast_time_form_follows_the_lattice() {
-        assert_eq!(
-            Latency::from_ratio(5, 2).as_fast_time().as_half_units(),
-            Some(5)
-        );
-        assert_eq!(Latency::from_int(3).as_fast_time().as_half_units(), Some(6));
-        assert_eq!(
-            Latency::from_ratio(7, 3).as_fast_time().as_half_units(),
-            None
-        );
-        assert_eq!(
-            Latency::from_ratio(7, 3).as_fast_time().to_time(),
-            Time::new(7, 3)
-        );
     }
 
     #[test]

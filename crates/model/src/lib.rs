@@ -79,5 +79,5 @@ pub mod topology;
 pub use fib::GenFib;
 pub use latency::Latency;
 pub use ratio::{Interval, Ratio};
-pub use time::{FastTime, Time};
+pub use time::{FastTime, TickScale, Time};
 pub use topology::{Topology, TopologyError, TopologySpec};

@@ -54,7 +54,7 @@
 //! [`PassManager`]: the schedule's sends are bucketed **once** into a
 //! shared [`ScheduleIndex`] (CSR-style per-src/per-dst slices over a
 //! single well-formed-send arena, plus first-receipt times and an `i64`
-//! fixed-point fast lane for half-integer λ), and every `P0001`–`P0007`
+//! tick lane on λ's lattice), and every `P0001`–`P0007`
 //! check is a [`LintPass`] driven over that index in one sweep — no
 //! per-check `HashMap` rebuilds or cloned send vectors. The seed
 //! engine is retained verbatim as

@@ -12,30 +12,34 @@
 //! seed engine's per-destination clone-and-sort was therefore a no-op,
 //! and the index simply drops it.
 //!
-//! When λ and every send start lie on the half-integer lattice (all
-//! integer and half-integer λ, i.e. every grid the paper uses), the
-//! index also carries an `i64` **fast lane** — send starts in
-//! half-units — so the hot window and causality comparisons run on
-//! machine integers instead of reduced 128-bit rationals. The lane is
-//! all-or-nothing: one off-lattice or out-of-range value and every
-//! comparison transparently falls back to exact [`Time`] arithmetic.
-//! Agreement of the two paths is property-tested in
-//! `crates/model/tests/fast_time_props.rs`.
+//! The index also carries an `i64` **tick lane** — send starts and first
+//! receipts counted in ticks of the schedule's [`TickScale`]
+//! (`D = lcm(2, q)` for λ = p/q) — so the hot window and causality
+//! comparisons run on machine integers instead of reduced 128-bit
+//! rationals, for every rational λ. The lane is all-or-nothing: one
+//! send start off the lattice or out of range (only possible in an
+//! externally supplied schedule) and every comparison transparently
+//! falls back to exact [`Time`] arithmetic. Agreement of the two paths
+//! is property-tested in `crates/model/tests/tick_scale_props.rs`.
 
 use crate::latency::Latency;
 use crate::schedule::{Schedule, TimedSend};
-use crate::time::Time;
+use crate::time::{TickScale, Time};
 
-/// Sentinel for "never receives" in the fast lane's first-receipt
-/// array. Larger than any in-range half-unit value.
-const NEVER: i64 = i64::MAX;
+/// Sentinel for "never receives" in the tick lane's first-receipt
+/// array. Larger than any in-range tick count.
+pub(crate) const NEVER: i64 = i64::MAX;
 
-/// The `i64` half-unit mirror of the arena, present only when every
-/// time in the schedule fits the fixed-point domain.
+/// The `i64` tick mirror of the arena, present only when every send
+/// start lies on the schedule's lattice within range.
 pub(crate) struct FastLane {
-    /// Send starts in half-units, aligned with the arena.
+    /// The lattice the ticks count on.
+    pub(crate) scale: TickScale,
+    /// λ in ticks.
+    pub(crate) lambda: i64,
+    /// Send starts in ticks, aligned with the arena.
     pub(crate) start: Vec<i64>,
-    /// Per-processor first receipt in half-units ([`NEVER`] if none).
+    /// Per-processor first receipt in ticks ([`NEVER`] if none).
     pub(crate) first_receipt: Vec<i64>,
 }
 
@@ -130,14 +134,15 @@ impl ScheduleIndex {
         }
     }
 
-    /// The all-or-nothing fixed-point lane: `Some` only when λ and
-    /// every send start are representable in half-units within the
+    /// The all-or-nothing tick lane: `Some` only when every send start
+    /// is representable in ticks of λ's lattice within the
     /// overflow-safe range.
     fn build_fast_lane(arena: &[TimedSend], lam: Latency, nn: usize) -> Option<FastLane> {
-        let lambda = lam.as_time().to_half_units()?;
+        let scale = TickScale::for_latency(lam)?;
+        let lambda = scale.to_tick(lam.as_time())?;
         let mut start = Vec::with_capacity(arena.len());
         for s in arena {
-            start.push(s.send_start.to_half_units()?);
+            start.push(scale.to_tick(s.send_start)?);
         }
         let mut first_receipt = vec![NEVER; nn];
         for (s, &h) in arena.iter().zip(&start) {
@@ -145,6 +150,8 @@ impl ScheduleIndex {
             *e = (*e).min(h + lambda);
         }
         Some(FastLane {
+            scale,
+            lambda,
             start,
             first_receipt,
         })
@@ -188,10 +195,15 @@ impl ScheduleIndex {
         self.first_receipt[p as usize]
     }
 
-    /// True when the `i64` fixed-point lane is active (λ and every send
-    /// start on the half-integer lattice).
+    /// True when the `i64` tick lane is active (every send start on
+    /// λ's lattice).
     pub fn has_fast_lane(&self) -> bool {
         self.fast.is_some()
+    }
+
+    /// The tick lane, when active.
+    pub(crate) fn tick_lane(&self) -> Option<&FastLane> {
+        self.fast.as_ref()
     }
 
     /// Whether arena sends `i` and `j` start less than one unit apart
@@ -201,7 +213,7 @@ impl ScheduleIndex {
     /// finishes are starts shifted by the constant λ).
     pub fn lt_one_apart(&self, i: usize, j: usize) -> bool {
         match &self.fast {
-            Some(lane) => lane.start[j] < lane.start[i] + 2,
+            Some(lane) => lane.start[j] < lane.start[i] + lane.scale.den(),
             None => self.arena[j].send_start < self.arena[i].send_start + Time::ONE,
         }
     }
@@ -274,12 +286,15 @@ mod tests {
     }
 
     #[test]
-    fn fast_lane_engages_on_half_integer_lambda_only() {
+    fn fast_lane_engages_on_every_rational_lambda() {
         let half = Schedule::new(2, Latency::from_ratio(5, 2), vec![send(0, 1, 3, 2)]);
         assert!(ScheduleIndex::build(&half).has_fast_lane());
 
-        let thirds = Schedule::new(2, Latency::from_ratio(4, 3), vec![send(0, 1, 0, 1)]);
-        assert!(!ScheduleIndex::build(&thirds).has_fast_lane());
+        let thirds = Schedule::new(2, Latency::from_ratio(4, 3), vec![send(0, 1, 1, 3)]);
+        assert!(ScheduleIndex::build(&thirds).has_fast_lane());
+
+        let off_lattice_third = Schedule::new(2, Latency::from_ratio(4, 3), vec![send(0, 1, 1, 5)]);
+        assert!(!ScheduleIndex::build(&off_lattice_third).has_fast_lane());
 
         let off_lattice_send = Schedule::new(2, Latency::from_int(2), vec![send(0, 1, 1, 3)]);
         assert!(!ScheduleIndex::build(&off_lattice_send).has_fast_lane());

@@ -21,13 +21,14 @@
 //! [`reference::lint_schedule_reference`](super::reference::lint_schedule_reference),
 //! which the differential suite asserts over the full acceptance grid.
 
-use super::index::ScheduleIndex;
+use super::index::{ScheduleIndex, NEVER};
 use super::{diag_order, Diagnostic, LintCode, LintOptions, Severity};
 use crate::fib::GenFib;
 use crate::runtimes;
 use crate::schedule::Schedule;
-use crate::time::{FastTime, Time};
+use crate::time::Time;
 use crate::topology::{Topology, UNREACHABLE};
+use std::ops::Add;
 
 /// When in the sweep a pass runs (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -381,9 +382,9 @@ impl LintPass for CoveragePass {
 /// `P0006` — idle-port waste: an informed output port idles although a
 /// send in the gap would inform someone strictly earlier.
 ///
-/// The cursor arithmetic runs on [`FastTime`] — `i64` fixed-point on
-/// the half-integer lattice, exact-`Ratio` fallback off it — so the
-/// O(E) gap scan stays on machine integers for every grid λ.
+/// The gap scan runs on the index's `i64` tick lane when it is active —
+/// every λ with on-lattice send starts — and on exact [`Time`] off it;
+/// one generic sweep serves both.
 pub struct IdlePortPass;
 
 impl LintPass for IdlePortPass {
@@ -397,80 +398,117 @@ impl LintPass for IdlePortPass {
 
     fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
         let idx = cx.index;
-        let n = idx.n();
-        let arena = idx.arena();
-        let lam = FastTime::from_time(idx.latency().as_time());
-
-        // The coverage horizon and the two latest first-receipts
-        // (distinct processors): enough to answer "does any processor
-        // other than `src` first receive after time x?" in O(1).
-        let mut completion_of_coverage = FastTime::ZERO;
-        let mut latest: Option<(Time, u32)> = None;
-        let mut second: Option<(Time, u32)> = None;
-        for p in 0..n {
-            let Some(t) = idx.first_receipt(p) else {
-                continue;
-            };
-            completion_of_coverage = completion_of_coverage.max(FastTime::from_time(t));
-            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
-                second = latest;
-                latest = Some((t, p));
-            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
-                second = Some((t, p));
+        match idx.tick_lane() {
+            Some(lane) => {
+                let scale = lane.scale;
+                idle_port_scan(
+                    cx,
+                    out,
+                    [0, scale.den(), lane.lambda],
+                    |i| lane.start[i],
+                    |p| Some(lane.first_receipt[p as usize]).filter(|&h| h != NEVER),
+                    |h| scale.to_time(h),
+                );
+            }
+            None => {
+                let arena = idx.arena();
+                idle_port_scan(
+                    cx,
+                    out,
+                    [Time::ZERO, Time::ONE, idx.latency().as_time()],
+                    |i| arena[i].send_start,
+                    |p| idx.first_receipt(p),
+                    |t| t,
+                );
             }
         }
-        let receipt_after = |x: FastTime, src: u32| -> Option<(Time, u32)> {
-            match latest {
-                Some((t, q)) if q != src && FastTime::from_time(t) > x => Some((t, q)),
-                Some((_, q)) if q == src => second.filter(|&(t, _)| FastTime::from_time(t) > x),
-                _ => None,
-            }
-        };
+    }
+}
 
-        'procs: for src in 0..n {
-            let informed_at = if src == cx.opts.originator {
-                Some(FastTime::ZERO)
-            } else {
-                idx.first_receipt(src).map(FastTime::from_time)
-            };
-            let Some(informed_at) = informed_at else {
-                continue;
-            };
-            // Idle gaps: [informed_at, first send), between consecutive
-            // sends, and after the last send (open-ended).
-            let my_sends = idx.by_src(src);
-            let mut gap_starts: Vec<FastTime> = Vec::with_capacity(my_sends.len() + 1);
-            let mut cursor = informed_at;
-            for &i in my_sends {
-                let start = FastTime::from_time(arena[i as usize].send_start);
-                if start > cursor {
-                    gap_starts.push(cursor);
-                }
-                cursor = cursor.max(start + FastTime::ONE);
-            }
-            if cursor < completion_of_coverage {
+/// The `P0006` sweep over one time representation `T`: `[zero, one, λ]`
+/// in `T`, each arena send's start, each processor's first receipt, and
+/// the exact image of a `T` for reporting.
+fn idle_port_scan<T: Copy + Ord + Add<Output = T>>(
+    cx: &PassContext<'_>,
+    out: &mut Vec<Diagnostic>,
+    [zero, one, lam]: [T; 3],
+    start_of: impl Fn(usize) -> T,
+    receipt_of: impl Fn(u32) -> Option<T>,
+    time: impl Fn(T) -> Time,
+) {
+    let idx = cx.index;
+    let n = idx.n();
+
+    // The coverage horizon and the two latest first-receipts (distinct
+    // processors): enough to answer "does any processor other than
+    // `src` first receive after time x?" in O(1).
+    let mut completion_of_coverage = zero;
+    let mut latest: Option<(T, u32)> = None;
+    let mut second: Option<(T, u32)> = None;
+    for p in 0..n {
+        let Some(t) = receipt_of(p) else {
+            continue;
+        };
+        completion_of_coverage = completion_of_coverage.max(t);
+        if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
+            second = latest;
+            latest = Some((t, p));
+        } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
+            second = Some((t, p));
+        }
+    }
+    let receipt_after = |x: T, src: u32| -> Option<(T, u32)> {
+        match latest {
+            Some((t, q)) if q != src && t > x => Some((t, q)),
+            Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
+            _ => None,
+        }
+    };
+
+    let mut gap_starts: Vec<T> = Vec::new();
+    'procs: for src in 0..n {
+        let informed_at = if src == cx.opts.originator {
+            Some(zero)
+        } else {
+            receipt_of(src)
+        };
+        let Some(informed_at) = informed_at else {
+            continue;
+        };
+        // Idle gaps: [informed_at, first send), between consecutive
+        // sends, and after the last send (open-ended).
+        gap_starts.clear();
+        let mut cursor = informed_at;
+        for &i in idx.by_src(src) {
+            let start = start_of(i as usize);
+            if start > cursor {
                 gap_starts.push(cursor);
             }
-            for g in gap_starts {
-                let hypothetical = g + lam;
-                // An uninformed-at-g processor whose eventual receipt
-                // is strictly later than the hypothetical delivery.
-                if let Some((t, q)) = receipt_after(hypothetical, src) {
-                    out.push(Diagnostic {
-                        code: LintCode::IdlePortWaste,
-                        severity: Severity::Warn,
-                        witness: None,
-                        proc: Some(src),
-                        sends: Vec::new(),
-                        related_time: Some(g.to_time()),
-                        message: format!(
-                            "p{src} is informed and idle from t = {g} although a send then \
-                             would reach p{q} at t = {hypothetical}, earlier than its actual \
-                             receipt at t = {t}"
-                        ),
-                    });
-                    continue 'procs;
-                }
+            cursor = cursor.max(start + one);
+        }
+        if cursor < completion_of_coverage {
+            gap_starts.push(cursor);
+        }
+        for &g in &gap_starts {
+            let hypothetical = g + lam;
+            // An uninformed-at-g processor whose eventual receipt is
+            // strictly later than the hypothetical delivery.
+            if let Some((t, q)) = receipt_after(hypothetical, src) {
+                let (g, hypothetical, t) = (time(g), time(hypothetical), time(t));
+                out.push(Diagnostic {
+                    code: LintCode::IdlePortWaste,
+                    severity: Severity::Warn,
+                    witness: None,
+                    proc: Some(src),
+                    sends: Vec::new(),
+                    related_time: Some(g),
+                    message: format!(
+                        "p{src} is informed and idle from t = {g} although a send then \
+                         would reach p{q} at t = {hypothetical}, earlier than its actual \
+                         receipt at t = {t}"
+                    ),
+                });
+                continue 'procs;
             }
         }
     }

@@ -30,10 +30,12 @@
 //! sets [`StreamingLint::out_of_order`]; callers should treat the
 //! report as unreliable and fall back to batch mode.
 //!
-//! Two pending heaps keep the hot path on machine integers: an `i64`
-//! half-unit lane for on-lattice starts (every grid the paper uses) and
-//! an exact-[`Time`] lane for the rest, merged by exact comparison at
-//! pop time.
+//! The pending heap and every per-processor time slot count `i64` ticks
+//! of the stream's [`TickScale`] (`D = lcm(2, q)` for λ = p/q), so the
+//! hot path runs on machine integers for every rational λ. An exact
+//! [`Time`] lane remains only for externally supplied send times off
+//! that lattice; the two pending heaps merge by exact comparison at pop
+//! time.
 //!
 //! ## Online vs `finish`-time passes
 //!
@@ -64,60 +66,66 @@ use crate::fib::GenFib;
 use crate::latency::Latency;
 use crate::runtimes;
 use crate::schedule::{Schedule, TimedSend};
-use crate::time::{FastTime, Time};
+use crate::time::{TickScale, Time};
 use crate::topology::{Topology, UNREACHABLE};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::mem::size_of;
+use std::ops::Add;
 
-/// Sentinel for "no value" in a [`TimeSlots`] half-unit lane. Larger
-/// than any representable half-unit value.
+/// Sentinel for "no value" in a [`TimeSlots`] tick lane. Larger than
+/// any representable tick count.
 const EMPTY: i64 = i64::MAX;
 /// Sentinel for "value lives in the exact side table".
 const EXACT: i64 = i64::MAX - 1;
 
-/// Per-processor time storage: an `i64` half-unit lane with an exact
-/// side table for off-lattice values. Costs 8 bytes per processor plus
-/// one hash entry per processor that ever held an off-lattice time
-/// (none on the paper's half-integer grids).
+/// Per-processor time storage: an `i64` tick lane with an exact side
+/// table for off-lattice values. Costs 8 bytes per processor plus one
+/// hash entry per processor that ever held an off-lattice time (none
+/// for a stream the simulator produced). Every method takes the
+/// stream's scale.
 struct TimeSlots {
-    half: Vec<i64>,
+    ticks: Vec<i64>,
     exact: HashMap<u32, Time>,
 }
 
 impl TimeSlots {
     fn new(n: usize) -> TimeSlots {
         TimeSlots {
-            half: vec![EMPTY; n],
+            ticks: vec![EMPTY; n],
             exact: HashMap::new(),
         }
     }
 
-    fn get(&self, p: u32) -> Option<Time> {
-        match self.half[p as usize] {
+    /// Slot `p` in ticks, when it holds a lattice value.
+    fn tick(&self, p: u32) -> Option<i64> {
+        Some(self.ticks[p as usize]).filter(|&h| h != EMPTY && h != EXACT)
+    }
+
+    fn get(&self, p: u32, scale: TickScale) -> Option<Time> {
+        match self.ticks[p as usize] {
             EMPTY => None,
             EXACT => self.exact.get(&p).copied(),
-            h => Some(Time::from_half_units(h)),
+            h => Some(scale.to_time(h)),
         }
     }
 
-    fn put(&mut self, p: u32, t: Time) {
-        match t.to_half_units() {
-            Some(h) if self.half[p as usize] != EXACT => self.half[p as usize] = h,
+    fn put(&mut self, p: u32, t: Time, scale: TickScale) {
+        match scale.to_tick(t) {
+            Some(h) if self.ticks[p as usize] != EXACT => self.ticks[p as usize] = h,
             _ => {
-                self.half[p as usize] = EXACT;
+                self.ticks[p as usize] = EXACT;
                 self.exact.insert(p, t);
             }
         }
     }
 
-    /// Lowers slot `p` toward `h` half-units without leaving the
-    /// integer lane (`EMPTY` is `i64::MAX`, so the bare `min` covers
-    /// the unset case).
-    fn set_min_half(&mut self, p: u32, h: i64) {
-        let slot = &mut self.half[p as usize];
+    /// Lowers slot `p` toward tick `h` without leaving the integer lane
+    /// (`EMPTY` is `i64::MAX`, so the bare `min` covers the unset case).
+    fn set_min_tick(&mut self, p: u32, h: i64, scale: TickScale) {
+        let slot = &mut self.ticks[p as usize];
         if *slot == EXACT {
-            let t = Time::from_half_units(h);
+            let t = scale.to_time(h);
             let e = self.exact.get_mut(&p).expect("EXACT slot has an entry");
             if t < *e {
                 *e = t;
@@ -128,33 +136,34 @@ impl TimeSlots {
     }
 
     /// Lowers slot `p` toward `t`.
-    fn set_min(&mut self, p: u32, t: Time) {
-        match t.to_half_units() {
-            Some(h) => self.set_min_half(p, h),
-            None => match self.get(p) {
+    fn set_min(&mut self, p: u32, t: Time, scale: TickScale) {
+        match scale.to_tick(t) {
+            Some(h) => self.set_min_tick(p, h, scale),
+            None => match self.get(p, scale) {
                 Some(c) if c <= t => {}
-                _ => self.put(p, t),
+                _ => self.put(p, t, scale),
             },
         }
     }
 
     fn memory_bytes(&self) -> usize {
-        self.half.capacity() * size_of::<i64>()
+        self.ticks.capacity() * size_of::<i64>()
             + self.exact.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
     }
 }
 
 /// The running per-stream state every streaming pass shares: processor
-/// count, λ, per-processor first-receipt times (updated as sends are
-/// observed — the minimum is order-independent) and the running
-/// completion maximum over *all* observed sends, malformed included
-/// (mirroring [`Schedule::completion`]).
+/// count, λ and its lattice, per-processor first-receipt times (updated
+/// as sends are observed — the minimum is order-independent) and the
+/// running completion maximum over *all* observed sends, malformed
+/// included (mirroring [`Schedule::completion`]).
 pub struct StreamIndex {
     n: u32,
     latency: Latency,
-    lam_half: Option<i64>,
+    scale: TickScale,
+    lam_tick: Option<i64>,
     first_receipt: TimeSlots,
-    completion_half: i64,
+    completion_tick: i64,
     completion_exact: Option<Time>,
     sends: u64,
     malformed: u64,
@@ -162,27 +171,32 @@ pub struct StreamIndex {
 
 impl StreamIndex {
     fn new(n: u32, latency: Latency) -> StreamIndex {
+        // A λ whose lattice overflows an i64 keeps half-unit ticks: its
+        // own times then take the exact lanes.
+        let scale = TickScale::for_latency(latency).unwrap_or(TickScale::HALF);
         StreamIndex {
             n,
             latency,
-            lam_half: latency.as_time().to_half_units(),
+            scale,
+            lam_tick: scale.to_tick(latency.as_time()),
             first_receipt: TimeSlots::new(n as usize),
-            completion_half: i64::MIN,
+            completion_tick: i64::MIN,
             completion_exact: None,
             sends: 0,
             malformed: 0,
         }
     }
 
-    /// Folds one observed send into the running aggregates.
-    fn record(&mut self, s: &TimedSend, well_formed: bool) {
-        let half = match (self.lam_half, s.send_start.to_half_units()) {
-            // Both ≤ FIXED_LIMIT = i64::MAX/4 in magnitude: no overflow.
+    /// Folds one observed send, with its start in ticks when it has
+    /// one, into the running aggregates.
+    fn record(&mut self, s: &TimedSend, start_tick: Option<i64>, well_formed: bool) {
+        let finish = match (self.lam_tick, start_tick) {
+            // Both ≤ TICK_LIMIT = i64::MAX/4 in magnitude: no overflow.
             (Some(l), Some(h)) => Some(h + l),
             _ => None,
         };
-        match half {
-            Some(h) => self.completion_half = self.completion_half.max(h),
+        match finish {
+            Some(h) => self.completion_tick = self.completion_tick.max(h),
             None => {
                 let rf = s.recv_finish(self.latency);
                 self.completion_exact = Some(match self.completion_exact {
@@ -193,11 +207,11 @@ impl StreamIndex {
         }
         if well_formed {
             self.sends += 1;
-            match half {
-                Some(h) => self.first_receipt.set_min_half(s.dst, h),
+            match finish {
+                Some(h) => self.first_receipt.set_min_tick(s.dst, h, self.scale),
                 None => self
                     .first_receipt
-                    .set_min(s.dst, s.recv_finish(self.latency)),
+                    .set_min(s.dst, s.recv_finish(self.latency), self.scale),
             }
         } else {
             self.malformed += 1;
@@ -214,10 +228,15 @@ impl StreamIndex {
         self.latency
     }
 
+    /// The tick lattice the stream's times are counted on.
+    pub fn scale(&self) -> TickScale {
+        self.scale
+    }
+
     /// When processor `p` first finishes receiving anything *observed
     /// so far*, if ever. Final once the stream ends.
     pub fn first_receipt(&self, p: u32) -> Option<Time> {
-        self.first_receipt.get(p)
+        self.first_receipt.get(p, self.scale)
     }
 
     /// The latest receive finish over every observed send (malformed
@@ -225,7 +244,7 @@ impl StreamIndex {
     /// [`Schedule::completion`].
     pub fn completion(&self) -> Time {
         let fast =
-            (self.completion_half != i64::MIN).then(|| Time::from_half_units(self.completion_half));
+            (self.completion_tick != i64::MIN).then(|| self.scale.to_time(self.completion_tick));
         match (fast, self.completion_exact) {
             (Some(a), Some(b)) => a.max(b),
             (Some(a), None) => a,
@@ -302,13 +321,14 @@ pub struct StreamingLint {
     opts: LintOptions,
     index: StreamIndex,
     passes: Vec<Box<dyn StreamingLintPass + Send>>,
-    /// Pending sends on the half-unit lattice, keyed
-    /// `(start_half, src, dst)`.
+    /// Pending sends on the stream's lattice, keyed
+    /// `(start_tick, src, dst)`.
     pending_fast: BinaryHeap<Reverse<(i64, u32, u32)>>,
     /// Pending off-lattice sends, keyed `(start, src, dst)`.
     pending_exact: BinaryHeap<Reverse<(Time, u32, u32)>>,
     watermark: Time,
-    watermark_half: Option<i64>,
+    /// The watermark in ticks, when it lies on the lattice.
+    watermark_tick: Option<i64>,
     out_of_order: bool,
 }
 
@@ -337,7 +357,7 @@ impl StreamingLint {
             pending_fast: BinaryHeap::new(),
             pending_exact: BinaryHeap::new(),
             watermark: Time::ZERO,
-            watermark_half: Some(0),
+            watermark_tick: Some(0),
             out_of_order: false,
         }
     }
@@ -380,8 +400,13 @@ impl StreamingLint {
             send_start,
         };
         let n = self.index.n;
-        let well_formed = src < n && dst < n && src != dst && send_start >= Time::ZERO;
-        self.index.record(&s, well_formed);
+        let start_tick = self.index.scale.to_tick(send_start);
+        let non_negative = match start_tick {
+            Some(h) => h >= 0,
+            None => send_start >= Time::ZERO,
+        };
+        let well_formed = src < n && dst < n && src != dst && non_negative;
+        self.index.record(&s, start_tick, well_formed);
         if !well_formed {
             let cx = StreamContext {
                 index: &self.index,
@@ -393,12 +418,16 @@ impl StreamingLint {
             }
             return;
         }
-        if send_start < self.watermark {
+        let late = match (start_tick, self.watermark_tick) {
+            (Some(h), Some(w)) => h < w,
+            _ => send_start < self.watermark,
+        };
+        if late {
             // The watermark already passed this start: finalization
             // order can no longer be canonical.
             self.out_of_order = true;
         }
-        match send_start.to_half_units() {
+        match start_tick {
             Some(h) => self.pending_fast.push(Reverse((h, src, dst))),
             None => self.pending_exact.push(Reverse((send_start, src, dst))),
         }
@@ -410,14 +439,20 @@ impl StreamingLint {
     /// observed; the engine's simulation clock and the timestamps of a
     /// sorted event log both satisfy this.
     pub fn advance_watermark(&mut self, t: Time) {
-        if t > self.watermark {
-            self.watermark_half = t.to_half_units();
+        let tick = self.index.scale.to_tick(t);
+        let later = match (tick, self.watermark_tick) {
+            (Some(h), Some(w)) => h > w,
+            _ => t > self.watermark,
+        };
+        if later {
+            self.watermark_tick = tick;
             self.watermark = t;
         }
         // Integer-only fast path: all pending on-lattice, watermark
         // on-lattice.
         if self.pending_exact.is_empty() {
-            if let Some(w) = self.watermark_half {
+            if let Some(w) = self.watermark_tick {
+                let scale = self.index.scale;
                 while let Some(&Reverse((h, src, dst))) = self.pending_fast.peek() {
                     if h >= w {
                         return;
@@ -426,7 +461,7 @@ impl StreamingLint {
                     self.dispatch_send(TimedSend {
                         src,
                         dst,
-                        send_start: Time::from_half_units(h),
+                        send_start: scale.to_time(h),
                     });
                 }
                 return;
@@ -443,16 +478,18 @@ impl StreamingLint {
 
     /// The smaller of the two heap tops, by exact key. A fast-lane and
     /// an exact-lane entry can never carry the same start time (a time
-    /// either has a half-unit form or it does not), so the merge is
-    /// unambiguous.
+    /// either has a tick on the stream's lattice or it does not), so the
+    /// merge is unambiguous.
     fn peek_min(&self) -> Option<(Time, TimedSend)> {
+        let scale = self.index.scale;
         let fast = self.pending_fast.peek().map(|&Reverse((h, src, dst))| {
+            let t = scale.to_time(h);
             (
-                Time::from_half_units(h),
+                t,
                 TimedSend {
                     src,
                     dst,
-                    send_start: Time::from_half_units(h),
+                    send_start: t,
                 },
             )
         });
@@ -481,7 +518,7 @@ impl StreamingLint {
     fn pop_min(&mut self) {
         match (self.pending_fast.peek(), self.pending_exact.peek()) {
             (Some(&Reverse((h, fs, fd))), Some(&Reverse((t, es, ed)))) => {
-                if (Time::from_half_units(h), fs, fd) < (t, es, ed) {
+                if (self.index.scale.to_time(h), fs, fd) < (t, es, ed) {
                     self.pending_fast.pop();
                 } else {
                     self.pending_exact.pop();
@@ -611,10 +648,10 @@ pub fn lint_schedule_streaming_with_topology(
 
 /// Whether `b` starts less than one unit after `a` — the shared
 /// `P0001`/`P0002` window condition, on machine integers whenever both
-/// starts sit on the half-unit lattice.
-fn lt_one_apart(a: Time, b: Time) -> bool {
-    match (a.to_half_units(), b.to_half_units()) {
-        (Some(x), Some(y)) => y < x + 2,
+/// starts sit on the stream's lattice.
+fn lt_one_apart(a: Time, b: Time, scale: TickScale) -> bool {
+    match (scale.to_tick(a), scale.to_tick(b)) {
+        (Some(x), Some(y)) => y < x + scale.den(),
         _ => b < a + Time::ONE,
     }
 }
@@ -716,13 +753,14 @@ impl StreamingLintPass for StreamingOutputPortPass {
         PassStage::Shape
     }
 
-    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
         let StreamEvent::Send(b) = ev else {
             return;
         };
+        let scale = cx.index.scale();
         let src = b.src;
-        if let Some(a_start) = self.prev_start.get(src) {
-            if lt_one_apart(a_start, b.send_start) {
+        if let Some(a_start) = self.prev_start.get(src, scale) {
+            if lt_one_apart(a_start, b.send_start, scale) {
                 let a = TimedSend {
                     src,
                     dst: self.prev_dst[src as usize],
@@ -747,7 +785,7 @@ impl StreamingLintPass for StreamingOutputPortPass {
                 ));
             }
         }
-        self.prev_start.put(src, b.send_start);
+        self.prev_start.put(src, b.send_start, scale);
         self.prev_dst[src as usize] = b.dst;
     }
 
@@ -798,12 +836,13 @@ impl StreamingLintPass for StreamingInputWindowPass {
         let StreamEvent::Send(b) = ev else {
             return;
         };
+        let scale = cx.index.scale();
         let dst = b.dst;
-        if let Some(a_start) = self.prev_start.get(dst) {
+        if let Some(a_start) = self.prev_start.get(dst, scale) {
             // Receive finishes are send starts shifted by the constant
             // λ, so the window condition is the same
             // less-than-one-unit-apart comparison.
-            if lt_one_apart(a_start, b.send_start) {
+            if lt_one_apart(a_start, b.send_start, scale) {
                 let a = TimedSend {
                     src: self.prev_src[dst as usize],
                     dst,
@@ -831,7 +870,7 @@ impl StreamingLintPass for StreamingInputWindowPass {
                 ));
             }
         }
-        self.prev_start.put(dst, b.send_start);
+        self.prev_start.put(dst, b.send_start, scale);
         self.prev_src[dst as usize] = b.src;
     }
 
@@ -984,6 +1023,103 @@ impl StreamingIdlePortPass {
             first_gap: HashMap::new(),
         }
     }
+
+    /// The `finish` sweep over one time representation `T`: `to` maps
+    /// a time into `T` (`None` aborts the sweep) and `time` maps back
+    /// for reporting.
+    fn scan<T: Copy + Ord + Add<Output = T>>(
+        &self,
+        cx: &StreamContext<'_>,
+        to: impl Fn(Time) -> Option<T>,
+        time: impl Fn(T) -> Time,
+    ) -> Option<Vec<Diagnostic>> {
+        let idx = cx.index;
+        let scale = idx.scale();
+        let n = idx.n();
+        let lam = to(idx.latency().as_time())?;
+        let zero = to(Time::ZERO)?;
+        let mut receipts: Vec<Option<T>> = Vec::with_capacity(n as usize);
+        for p in 0..n {
+            receipts.push(match idx.first_receipt(p) {
+                Some(t) => Some(to(t)?),
+                None => None,
+            });
+        }
+
+        // The coverage horizon and the two latest first-receipts
+        // (distinct processors): enough to answer "does any processor
+        // other than `src` first receive after time x?" in O(1).
+        let mut completion_of_coverage = zero;
+        let mut latest: Option<(T, u32)> = None;
+        let mut second: Option<(T, u32)> = None;
+        for (p, t) in (0..n).zip(&receipts) {
+            let Some(t) = *t else {
+                continue;
+            };
+            completion_of_coverage = completion_of_coverage.max(t);
+            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
+                second = latest;
+                latest = Some((t, p));
+            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
+                second = Some((t, p));
+            }
+        }
+        let receipt_after = |x: T, src: u32| -> Option<(T, u32)> {
+            match latest {
+                Some((t, q)) if q != src && t > x => Some((t, q)),
+                Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
+                _ => None,
+            }
+        };
+
+        let mut out = Vec::new();
+        for src in 0..n {
+            let informed_at = if src == cx.opts.originator {
+                Some(zero)
+            } else {
+                receipts[src as usize]
+            };
+            let Some(informed_at) = informed_at else {
+                continue;
+            };
+            // The candidate gap: the first recorded idle gap, else the
+            // open-ended gap after the last send (the port's whole
+            // informed life, for a port that never sent).
+            let gap = match self.cursor.get(src, scale) {
+                None => (informed_at < completion_of_coverage).then_some(informed_at),
+                Some(c) => match self.first_gap.get(&src) {
+                    Some(&g) => Some(to(g)?),
+                    None => {
+                        let c = to(c)?;
+                        (c < completion_of_coverage).then_some(c)
+                    }
+                },
+            };
+            let Some(g) = gap else {
+                continue;
+            };
+            let hypothetical = g + lam;
+            // An uninformed-at-g processor whose eventual receipt
+            // is strictly later than the hypothetical delivery.
+            if let Some((t, q)) = receipt_after(hypothetical, src) {
+                let (g, hypothetical, t) = (time(g), time(hypothetical), time(t));
+                out.push(Diagnostic {
+                    code: LintCode::IdlePortWaste,
+                    severity: Severity::Warn,
+                    witness: None,
+                    proc: Some(src),
+                    sends: Vec::new(),
+                    related_time: Some(g),
+                    message: format!(
+                        "p{src} is informed and idle from t = {g} although a send then \
+                         would reach p{q} at t = {hypothetical}, earlier than its actual \
+                         receipt at t = {t}"
+                    ),
+                });
+            }
+        }
+        Some(out)
+    }
 }
 
 impl StreamingLintPass for StreamingIdlePortPass {
@@ -1000,104 +1136,48 @@ impl StreamingLintPass for StreamingIdlePortPass {
             return;
         };
         let src = s.src;
-        let start = FastTime::from_time(s.send_start);
-        let cur = match self.cursor.get(src) {
-            Some(c) => FastTime::from_time(c),
+        let scale = cx.index.scale();
+        // Hot path: the port has sent before and both times are ticks.
+        if let (Some(start), Some(cur)) = (scale.to_tick(s.send_start), self.cursor.tick(src)) {
+            if start > cur {
+                self.first_gap
+                    .entry(src)
+                    .or_insert_with(|| scale.to_time(cur));
+            }
+            self.cursor.ticks[src as usize] = cur.max(start + scale.den());
+            return;
+        }
+        let start = s.send_start;
+        let cur = match self.cursor.get(src, scale) {
+            Some(c) => c,
             None => {
                 // First send from this port: the cursor opens at the
                 // processor's informed time (garbage-tolerant when the
                 // sender is not yet informed — that is a P0003 error
                 // and suppresses this stage).
                 let informed_at = if src == cx.opts.originator {
-                    Some(FastTime::ZERO)
+                    Some(Time::ZERO)
                 } else {
-                    cx.index.first_receipt(src).map(FastTime::from_time)
+                    cx.index.first_receipt(src)
                 };
                 informed_at.unwrap_or(start)
             }
         };
         if start > cur {
-            self.first_gap.entry(src).or_insert_with(|| cur.to_time());
+            self.first_gap.entry(src).or_insert(cur);
         }
-        self.cursor
-            .put(src, cur.max(start + FastTime::ONE).to_time());
+        self.cursor.put(src, cur.max(start + Time::ONE), scale);
     }
 
     fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        let n = idx.n();
-        let lam = FastTime::from_time(idx.latency().as_time());
-
-        // The coverage horizon and the two latest first-receipts
-        // (distinct processors): enough to answer "does any processor
-        // other than `src` first receive after time x?" in O(1).
-        let mut completion_of_coverage = FastTime::ZERO;
-        let mut latest: Option<(Time, u32)> = None;
-        let mut second: Option<(Time, u32)> = None;
-        for p in 0..n {
-            let Some(t) = idx.first_receipt(p) else {
-                continue;
-            };
-            completion_of_coverage = completion_of_coverage.max(FastTime::from_time(t));
-            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
-                second = latest;
-                latest = Some((t, p));
-            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
-                second = Some((t, p));
-            }
-        }
-        let receipt_after = |x: FastTime, src: u32| -> Option<(Time, u32)> {
-            match latest {
-                Some((t, q)) if q != src && FastTime::from_time(t) > x => Some((t, q)),
-                Some((_, q)) if q == src => second.filter(|&(t, _)| FastTime::from_time(t) > x),
-                _ => None,
-            }
-        };
-
-        for src in 0..n {
-            let informed_at = if src == cx.opts.originator {
-                Some(FastTime::ZERO)
-            } else {
-                idx.first_receipt(src).map(FastTime::from_time)
-            };
-            let Some(informed_at) = informed_at else {
-                continue;
-            };
-            // The candidate gap: the first recorded idle gap, else the
-            // open-ended gap after the last send (the port's whole
-            // informed life, for a port that never sent).
-            let gap = match self.cursor.get(src) {
-                None => (informed_at < completion_of_coverage).then_some(informed_at),
-                Some(c) => match self.first_gap.get(&src) {
-                    Some(&g) => Some(FastTime::from_time(g)),
-                    None => {
-                        let c = FastTime::from_time(c);
-                        (c < completion_of_coverage).then_some(c)
-                    }
-                },
-            };
-            let Some(g) = gap else {
-                continue;
-            };
-            let hypothetical = g + lam;
-            // An uninformed-at-g processor whose eventual receipt
-            // is strictly later than the hypothetical delivery.
-            if let Some((t, q)) = receipt_after(hypothetical, src) {
-                out.push(Diagnostic {
-                    code: LintCode::IdlePortWaste,
-                    severity: Severity::Warn,
-                    witness: None,
-                    proc: Some(src),
-                    sends: Vec::new(),
-                    related_time: Some(g.to_time()),
-                    message: format!(
-                        "p{src} is informed and idle from t = {g} although a send then \
-                         would reach p{q} at t = {hypothetical}, earlier than its actual \
-                         receipt at t = {t}"
-                    ),
-                });
-            }
-        }
+        // On ticks when every time involved has one — always, for a
+        // stream the simulator produced — else exactly.
+        let scale = cx.index.scale();
+        let found = self
+            .scan(cx, |t| scale.to_tick(t), |h| scale.to_time(h))
+            .or_else(|| self.scan(cx, Some, |t| t))
+            .expect("the exact scan converts every time");
+        out.extend(found);
     }
 
     fn memory_bytes(&self) -> usize {
@@ -1437,12 +1517,18 @@ mod tests {
 
     #[test]
     fn streaming_matches_batch_off_the_half_unit_lattice() {
-        // λ = 4/3 keeps every receive window off-lattice; the exact
-        // pending lane and exact slots must agree with batch.
+        // λ = 4/3 runs on sixths; the 1/3 start is a lattice tick there,
+        // and a 1/5 start takes the exact pending lane and exact slots.
+        // Both must agree with batch.
         let s = Schedule::new(
             3,
             Latency::from_ratio(4, 3),
-            vec![send(0, 1, 0, 1), send(0, 2, 1, 3), send(1, 2, 2, 1)],
+            vec![
+                send(0, 1, 0, 1),
+                send(0, 2, 1, 3),
+                send(1, 2, 2, 1),
+                send(2, 0, 11, 5),
+            ],
         );
         for opts in [LintOptions::default(), LintOptions::ports_only()] {
             assert_eq!(lint_schedule_streaming(&s, &opts), lint_schedule(&s, &opts));
@@ -1521,20 +1607,28 @@ mod tests {
 
     #[test]
     fn time_slots_mix_lattice_and_exact_values() {
+        let half = TickScale::HALF;
         let mut slots = TimeSlots::new(2);
-        assert_eq!(slots.get(0), None);
-        slots.set_min(0, Time::new(5, 2));
-        assert_eq!(slots.get(0), Some(Time::new(5, 2)));
+        assert_eq!(slots.get(0, half), None);
+        slots.set_min(0, Time::new(5, 2), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(5, 2)));
+        assert_eq!(slots.tick(0), Some(5));
         // An off-lattice minimum migrates the slot to the side table...
-        slots.set_min(0, Time::new(1, 3));
-        assert_eq!(slots.get(0), Some(Time::new(1, 3)));
+        slots.set_min(0, Time::new(1, 3), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(1, 3)));
+        assert_eq!(slots.tick(0), None);
         // ...and later lattice values keep comparing exactly.
-        slots.set_min(0, Time::new(1, 4));
-        assert_eq!(slots.get(0), Some(Time::new(1, 4)));
-        slots.set_min(0, Time::from_int(7));
-        assert_eq!(slots.get(0), Some(Time::new(1, 4)));
-        slots.put(1, Time::new(1, 3));
-        slots.put(1, Time::from_int(2));
-        assert_eq!(slots.get(1), Some(Time::from_int(2)));
+        slots.set_min(0, Time::new(1, 4), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
+        slots.set_min(0, Time::from_int(7), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
+        slots.put(1, Time::new(1, 3), half);
+        slots.put(1, Time::from_int(2), half);
+        assert_eq!(slots.get(1, half), Some(Time::from_int(2)));
+        // On sixths, thirds are lattice values.
+        let sixths = TickScale::new(6).unwrap();
+        let mut slots = TimeSlots::new(1);
+        slots.set_min(0, Time::new(7, 3), sixths);
+        assert_eq!(slots.tick(0), Some(14));
     }
 }

@@ -36,13 +36,23 @@ pub struct Ratio {
 }
 
 /// Greatest common divisor (non-negative; `gcd(0, 0) = 0`).
-pub(crate) fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
+pub(crate) fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        // 128-bit division is a software routine; finish on machine
+        // words as soon as both operands fit one.
+        if let (Ok(x), Ok(y)) = (u64::try_from(a), u64::try_from(b)) {
+            return gcd_u64(x, y) as i128;
+        }
+        (a, b) = (b, a % b);
+    }
+    a as i128
+}
+
+/// Greatest common divisor on machine words (`gcd(0, b) = b`).
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
     }
     a
 }
@@ -68,6 +78,12 @@ impl Ratio {
             num: sign * (num / g),
             den: sign * (den / g),
         }
+    }
+
+    /// `num/den` from parts the caller has already reduced, with
+    /// `den > 0`: skips the normalizing `gcd`.
+    pub(crate) const fn from_reduced(num: i128, den: i128) -> Ratio {
+        Ratio { num, den }
     }
 
     /// Creates an integer-valued ratio.

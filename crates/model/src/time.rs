@@ -5,15 +5,14 @@
 //! thin newtype over [`Ratio`] so that times and arbitrary rationals cannot
 //! be mixed up in signatures; all times in this workspace are exact.
 //!
-//! For the lint hot path there is a second, faster representation:
-//! [`FastTime`] holds the same value as an `i64` count of *half-units*
-//! whenever the value lies on the half-integer lattice (which covers
-//! every integer and half-integer λ the paper uses), and falls back to
-//! the exact [`Ratio`] form otherwise. Both representations are exact;
-//! they differ only in speed.
+//! Hot loops run on a second representation of the same values:
+//! [`TickScale`] maps times to plain `i64` counts of `1/D`-unit ticks
+//! on the lattice a run's λ induces (see its docs for the `D` rule),
+//! and back. Conversions are checked, so a value the lattice cannot
+//! hold is reported, never rounded.
 
-use crate::ratio::Ratio;
-use std::cmp::Ordering;
+use crate::latency::Latency;
+use crate::ratio::{gcd_u64, Ratio};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -75,185 +74,102 @@ impl Time {
     pub fn scale(self, k: Ratio) -> Time {
         Time(self.0 * k)
     }
-
-    /// The value as an `i64` count of half-units, when it lies on the
-    /// half-integer lattice and is small enough for overflow-free
-    /// fixed-point arithmetic (see [`FastTime`]). `None` otherwise.
-    pub fn to_half_units(self) -> Option<i64> {
-        let half = match self.0.denom() {
-            1 => self.0.numer().checked_mul(2)?,
-            2 => self.0.numer(),
-            _ => return None,
-        };
-        let half = i64::try_from(half).ok()?;
-        (half.abs() <= FIXED_LIMIT).then_some(half)
-    }
-
-    /// The time worth `half` half-units (`from_half_units(5)` = 5/2).
-    pub fn from_half_units(half: i64) -> Time {
-        Time::new(half as i128, 2)
-    }
 }
 
-/// Largest magnitude (in half-units) [`FastTime`] keeps in fixed-point
-/// form. The headroom guarantees that adding two in-range values can
-/// never overflow an `i64`, so a single comparison or sum needs no
-/// checked arithmetic.
-pub const FIXED_LIMIT: i64 = i64::MAX / 4;
+/// Former name of the simulator's event-time type, kept as an alias of
+/// [`Time`] for code written against it. Hot paths count [`TickScale`]
+/// ticks instead.
+pub type FastTime = Time;
 
-/// A dual-representation time: `i64` fixed-point in half-units with a
-/// transparent exact-[`Ratio`] fallback.
+/// Largest tick magnitude [`TickScale::to_tick`] accepts. The headroom
+/// means the sum of two converted values can never overflow an `i64`,
+/// so one comparison or addition of them needs no checked arithmetic.
+pub const TICK_LIMIT: i64 = i64::MAX / 4;
+
+/// The time lattice of one run: `i64` ticks of `1/D` unit.
 ///
-/// Every value is exact in either form; `Fixed` is just cheaper. The
-/// representation is canonical — any value that fits the half-unit
-/// lattice within [`FIXED_LIMIT`] is held as `Fixed`, so derived
-/// equality and hashing agree with value equality. Arithmetic promotes
-/// to `Exact` when a result leaves the fixed-point domain and demotes
-/// back when it re-enters it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FastTime(Repr);
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Repr {
-    /// Count of half-units; |value| ≤ [`FIXED_LIMIT`].
-    Fixed(i64),
-    /// Exact fallback for values off the lattice or out of range.
-    Exact(Time),
+/// In MPS(n, λ) with λ = p/q every send lasts one unit and every message
+/// takes λ, so every event time a run produces is a multiple of `1/q`.
+/// A run fixes `D = lcm(2, every λ denominator it can see)` — keeping
+/// the factor 2 puts every integer and half-integer λ on half-unit
+/// ticks — and its hot loops compare and add tick counts instead of
+/// reduced 128-bit rationals. [`Time`] stays what programs, traces and
+/// reports see; the scale converts at those edges.
+///
+/// Conversions are checked: [`TickScale::to_tick`] returns `None` for a
+/// value off the lattice or beyond [`TICK_LIMIT`], and the caller either
+/// refines the lattice ([`TickScale::refine`]) or takes an exact path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TickScale {
+    den: i64,
 }
 
-impl FastTime {
-    /// Time zero.
-    pub const ZERO: FastTime = FastTime(Repr::Fixed(0));
-    /// One time unit (two half-units).
-    pub const ONE: FastTime = FastTime(Repr::Fixed(2));
+impl TickScale {
+    /// Half-unit ticks (`D = 2`): the lattice of every integer and
+    /// half-integer λ.
+    pub const HALF: TickScale = TickScale { den: 2 };
 
-    /// Converts an exact time, picking the fixed-point form when the
-    /// value lies on the half-integer lattice within range.
-    pub fn from_time(t: Time) -> FastTime {
-        match t.to_half_units() {
-            Some(h) => FastTime(Repr::Fixed(h)),
-            None => FastTime(Repr::Exact(t)),
+    /// The lattice of `den` ticks per unit; `None` unless `den ≥ 1`.
+    pub fn new(den: i64) -> Option<TickScale> {
+        (den >= 1).then_some(TickScale { den })
+    }
+
+    /// `D = lcm(2, d₁, d₂, …)` over the given denominators. `None` when
+    /// a denominator is not positive or `D` overflows an `i64`.
+    pub fn for_denominators(dens: impl IntoIterator<Item = i128>) -> Option<TickScale> {
+        dens.into_iter()
+            .try_fold(TickScale::HALF, TickScale::with_denominator)
+    }
+
+    /// The lattice of a run at one λ = p/q: `D = lcm(2, q)`.
+    pub fn for_latency(lam: Latency) -> Option<TickScale> {
+        TickScale::for_denominators([lam.ticks_per_unit()])
+    }
+
+    /// Ticks per unit, `D`. One unit — a send — is `den()` ticks.
+    pub const fn den(self) -> i64 {
+        self.den
+    }
+
+    /// The coarsest lattice that refines this one and holds `t`:
+    /// `D' = lcm(D, denominator of t)`. `None` if `D'` overflows.
+    pub fn refine(self, t: Time) -> Option<TickScale> {
+        self.with_denominator(t.0.denom())
+    }
+
+    /// How many of this lattice's ticks make one tick of `coarser`, when
+    /// this lattice refines it (`coarser.den()` divides `den()`).
+    pub fn factor_over(self, coarser: TickScale) -> Option<i64> {
+        (self.den % coarser.den == 0).then_some(self.den / coarser.den)
+    }
+
+    fn with_denominator(self, d: i128) -> Option<TickScale> {
+        let d = i64::try_from(d).ok().filter(|&d| d >= 1)?;
+        let g = gcd_u64(self.den as u64, d as u64) as i64;
+        Some(TickScale {
+            den: self.den.checked_mul(d / g)?,
+        })
+    }
+
+    /// `t` as a tick count, or `None` when `t` is off this lattice or
+    /// its count exceeds [`TICK_LIMIT`] in magnitude.
+    pub fn to_tick(self, t: Time) -> Option<i64> {
+        let den = i64::try_from(t.0.denom()).ok()?;
+        let per = self.den / den;
+        if per * den != self.den {
+            return None;
         }
+        let tick = i64::try_from(t.0.numer()).ok()?.checked_mul(per)?;
+        (tick.unsigned_abs() <= TICK_LIMIT as u64).then_some(tick)
     }
 
-    /// The exact time this value denotes. Lossless for both forms.
-    pub fn to_time(self) -> Time {
-        match self.0 {
-            Repr::Fixed(h) => Time::from_half_units(h),
-            Repr::Exact(t) => t,
-        }
-    }
-
-    /// True when held in the `i64` fixed-point form.
-    pub fn is_fixed(self) -> bool {
-        matches!(self.0, Repr::Fixed(_))
-    }
-
-    /// The `i64` half-unit count when the value is held in fixed-point
-    /// form, `None` for the exact fallback. Because the representation
-    /// is canonical, `None` means the value genuinely lies off the
-    /// half-integer lattice (or beyond [`FIXED_LIMIT`]) — a calendar
-    /// queue keyed on half-ticks can therefore route on this accessor
-    /// alone, with no risk of a `Fixed` and an `Exact` value denoting
-    /// the same instant.
-    pub fn as_half_units(self) -> Option<i64> {
-        match self.0 {
-            Repr::Fixed(h) => Some(h),
-            Repr::Exact(_) => None,
-        }
-    }
-
-    /// The fixed-point value worth `half` half-units.
-    ///
-    /// # Panics
-    /// Panics if `|half| > FIXED_LIMIT` — such a value must be built via
-    /// [`FastTime::from_time`] so it lands in the exact fallback form.
-    pub fn from_half_units(half: i64) -> FastTime {
-        assert!(
-            half.abs() <= FIXED_LIMIT,
-            "half-unit count {half} outside the fixed-point range"
-        );
-        FastTime(Repr::Fixed(half))
-    }
-
-    /// Maximum of two values.
-    pub fn max(self, other: FastTime) -> FastTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Minimum of two values.
-    pub fn min(self, other: FastTime) -> FastTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-}
-
-impl From<Time> for FastTime {
-    fn from(t: Time) -> FastTime {
-        FastTime::from_time(t)
-    }
-}
-
-impl Add for FastTime {
-    type Output = FastTime;
-    fn add(self, rhs: FastTime) -> FastTime {
-        match (self.0, rhs.0) {
-            // In-range operands cannot overflow (|a| + |b| ≤ i64::MAX/2);
-            // an out-of-range *sum* re-enters via from_time's range check.
-            (Repr::Fixed(a), Repr::Fixed(b)) if (a + b).abs() <= FIXED_LIMIT => {
-                FastTime(Repr::Fixed(a + b))
-            }
-            _ => FastTime::from_time(self.to_time() + rhs.to_time()),
-        }
-    }
-}
-
-impl Sub for FastTime {
-    type Output = FastTime;
-    fn sub(self, rhs: FastTime) -> FastTime {
-        match (self.0, rhs.0) {
-            (Repr::Fixed(a), Repr::Fixed(b)) if (a - b).abs() <= FIXED_LIMIT => {
-                FastTime(Repr::Fixed(a - b))
-            }
-            _ => FastTime::from_time(self.to_time() - rhs.to_time()),
-        }
-    }
-}
-
-impl Ord for FastTime {
-    fn cmp(&self, other: &FastTime) -> Ordering {
-        match (self.0, other.0) {
-            (Repr::Fixed(a), Repr::Fixed(b)) => a.cmp(&b),
-            _ => self.to_time().cmp(&other.to_time()),
-        }
-    }
-}
-
-impl PartialOrd for FastTime {
-    fn partial_cmp(&self, other: &FastTime) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl fmt::Debug for FastTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Repr::Fixed(h) => write!(f, "fast[{h}/2]"),
-            Repr::Exact(t) => write!(f, "exact[{}]", t.0),
-        }
-    }
-}
-
-impl fmt::Display for FastTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_time())
+    /// The exact time `tick / D`. Total: every `i64` tick is a time.
+    pub fn to_time(self, tick: i64) -> Time {
+        let g = gcd_u64(tick.unsigned_abs(), self.den as u64) as i64;
+        Time(Ratio::from_reduced(
+            (tick / g) as i128,
+            (self.den / g) as i128,
+        ))
     }
 }
 
@@ -377,92 +293,55 @@ mod tests {
     }
 
     #[test]
-    fn half_unit_conversion() {
-        assert_eq!(Time::new(5, 2).to_half_units(), Some(5));
-        assert_eq!(Time::from_int(3).to_half_units(), Some(6));
-        assert_eq!(Time::new(-7, 2).to_half_units(), Some(-7));
-        assert_eq!(Time::new(1, 3).to_half_units(), None);
-        assert_eq!(Time::from_int(i64::MAX as i128).to_half_units(), None);
-        assert_eq!(Time::from_half_units(5), Time::new(5, 2));
-        assert_eq!(Time::from_half_units(-4), Time::from_int(-2));
-    }
-
-    #[test]
-    fn fast_time_round_trips_and_stays_fixed_on_the_lattice() {
-        for (num, den) in [(0, 1), (5, 2), (-3, 2), (7, 1), (1_000_000, 2)] {
-            let t = Time::new(num, den);
-            let f = FastTime::from_time(t);
-            assert!(f.is_fixed(), "{t:?}");
-            assert_eq!(f.to_time(), t);
-        }
-        let third = FastTime::from_time(Time::new(1, 3));
-        assert!(!third.is_fixed());
-        assert_eq!(third.to_time(), Time::new(1, 3));
-    }
-
-    #[test]
-    fn fast_time_arithmetic_and_ordering_match_time() {
-        let vals = [
-            Time::ZERO,
-            Time::ONE,
-            Time::new(5, 2),
-            Time::new(-3, 2),
-            Time::new(1, 3),
-            Time::new(22, 7),
-        ];
-        for &a in &vals {
-            for &b in &vals {
-                let (fa, fb) = (FastTime::from_time(a), FastTime::from_time(b));
-                assert_eq!((fa + fb).to_time(), a + b);
-                assert_eq!((fa - fb).to_time(), a - b);
-                assert_eq!(fa.cmp(&fb), a.cmp(&b));
-                assert_eq!(fa == fb, a == b);
-                assert_eq!(fa.max(fb).to_time(), a.max(b));
-                assert_eq!(fa.min(fb).to_time(), a.min(b));
-            }
-        }
-    }
-
-    #[test]
-    fn fast_time_half_unit_accessors() {
+    fn tick_scale_follows_the_lcm_rule() {
+        let den = |num, den| TickScale::for_latency(Latency::from_ratio(num, den)).map(|s| s.den());
+        assert_eq!(den(2, 1), Some(2));
+        assert_eq!(den(5, 2), Some(2));
+        assert_eq!(den(7, 3), Some(6));
+        assert_eq!(den(13, 5), Some(10));
+        assert_eq!(den(8, 3), Some(6));
         assert_eq!(
-            FastTime::from_time(Time::new(5, 2)).as_half_units(),
-            Some(5)
+            TickScale::for_denominators([2, 3]).map(|s| s.den()),
+            Some(6)
         );
-        assert_eq!(
-            FastTime::from_time(Time::from_int(-3)).as_half_units(),
-            Some(-6)
-        );
-        assert_eq!(FastTime::from_time(Time::new(1, 3)).as_half_units(), None);
-        assert_eq!(
-            FastTime::from_half_units(7),
-            FastTime::from_time(Time::new(7, 2))
-        );
-        assert!(FastTime::from_half_units(FIXED_LIMIT).is_fixed());
+        assert_eq!(TickScale::for_denominators([0]), None);
+        assert_eq!(TickScale::for_denominators([i128::MAX]), None);
+        assert_eq!(TickScale::new(0), None);
     }
 
     #[test]
-    #[should_panic(expected = "outside the fixed-point range")]
-    fn fast_time_from_half_units_rejects_out_of_range() {
-        let _ = FastTime::from_half_units(FIXED_LIMIT + 1);
+    fn tick_round_trips_and_rejects_off_lattice_values() {
+        let six = TickScale::new(6).unwrap();
+        assert_eq!(six.to_tick(Time::new(7, 3)), Some(14));
+        assert_eq!(six.to_tick(Time::new(5, 2)), Some(15));
+        assert_eq!(six.to_tick(Time::new(-1, 2)), Some(-3));
+        assert_eq!(six.to_tick(Time::new(1, 4)), None);
+        assert_eq!(six.to_time(14), Time::new(7, 3));
+        assert_eq!(six.to_time(0), Time::ZERO);
+        assert_eq!(six.to_time(-3), Time::new(-1, 2));
+        assert_eq!(TickScale::HALF.to_tick(Time::new(7, 3)), None);
+        assert_eq!(TickScale::HALF.to_tick(Time::from_int(3)), Some(6));
     }
 
     #[test]
-    fn fast_time_overflow_adjacent_values_fall_back_exactly() {
-        // Just inside the fixed-point range...
-        let edge = FastTime::from_time(Time::from_half_units(FIXED_LIMIT));
-        assert!(edge.is_fixed());
-        // ...and one unit past it: promoted to the exact form, with the
-        // value still exact.
-        let over = edge + FastTime::ONE;
-        assert!(!over.is_fixed());
-        assert_eq!(
-            over.to_time(),
-            Time::from_half_units(FIXED_LIMIT) + Time::ONE
-        );
-        // Coming back under the limit demotes to fixed again.
-        let back = over - FastTime::ONE;
-        assert!(back.is_fixed());
-        assert_eq!(back, edge);
+    fn tick_range_is_checked() {
+        let half = TickScale::HALF;
+        assert_eq!(half.to_tick(half.to_time(TICK_LIMIT)), Some(TICK_LIMIT));
+        assert_eq!(half.to_tick(half.to_time(TICK_LIMIT + 1)), None);
+        assert_eq!(half.to_tick(Time::from_int(i64::MAX as i128)), None);
+        assert_eq!(half.to_tick(Time::new(1, i128::MAX)), None);
+        // Every i64 tick converts back exactly, extremes included.
+        assert_eq!(half.to_time(i64::MIN), Time::from_int(i64::MIN as i128 / 2));
+    }
+
+    #[test]
+    fn refinement_takes_the_lcm() {
+        let six = TickScale::new(6).unwrap();
+        let r = six.refine(Time::new(1, 7)).unwrap();
+        assert_eq!(r.den(), 42);
+        assert_eq!(r.factor_over(six), Some(7));
+        assert_eq!(six.factor_over(r), None);
+        assert_eq!(six.refine(Time::new(5, 2)), Some(six));
+        assert_eq!(six.refine(Time::new(1, i128::MAX)), None);
     }
 }

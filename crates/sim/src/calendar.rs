@@ -1,28 +1,24 @@
-//! A calendar (bucket) event queue keyed on [`FastTime`] half-units.
+//! A calendar (bucket) event queue keyed on `i64` lattice ticks.
 //!
 //! The discrete-event engine's hot path is queue traffic: every message
 //! costs one arrival push, one deliver push and two pops. The seed
 //! engine paid `O(log n)` exact-rational comparisons per operation on a
 //! [`BinaryHeap`]; this queue exploits the postal model's time structure
-//! instead. Under the paper's λ grid (integers and half-integers) every
-//! event time is a half-unit multiple, so [`FastTime`] holds it as a
-//! plain `i64` and the queue becomes a classic calendar: a ring of
-//! half-tick buckets over a sliding window `[cur, cur + W)`, with `O(1)`
-//! amortized push and pop and no per-event comparisons at all.
+//! instead. With λ = p/q every event time of a run is a multiple of
+//! `1/D` for the run's [`TickScale`] (`D = lcm(2, q, …)`), so each time
+//! is a plain `i64` tick count and the queue becomes a classic calendar:
+//! a ring of one-tick buckets over a sliding window `[cur, cur + W)`,
+//! with `O(1)` amortized push and pop and no per-event comparisons.
 //!
-//! Two ordered heaps back the ring up without giving up exactness:
+//! Events beyond the window (`≥ cur + W`) wait in an **overflow** heap
+//! ordered by `(tick, lane, push counter)` and are flushed into the ring
+//! when the window slides over them.
 //!
-//! * **overflow** — on-lattice events beyond the window (`≥ cur + W`),
-//!   flushed into the ring when the window slides over them;
-//! * **exact** — events whose time left the half-unit lattice (an
-//!   off-lattice λ such as 7/3, or a magnitude past `FIXED_LIMIT`).
-//!   These fall back to exact [`Time`] keys and full rational
-//!   comparisons — the reference-identical slow path.
-//!
-//! Because [`FastTime`]'s representation is canonical, a fixed-point
-//! time and an exact-fallback time can never denote the same instant,
-//! so arbitration between the ring and the exact heap is a strict
-//! comparison with no tie to break.
+//! The queue owns its run's scale. A time off the lattice — a wake-up at
+//! 1/7 under `D = 6`, say — does not leave the integer domain: the
+//! caller refines `D` to the lcm and [`CalendarQueue::rescale_to`]
+//! multiplies every queued tick by the refinement factor, so there is no
+//! exact-`Ratio` side path at all.
 //!
 //! # Ordering contract
 //!
@@ -35,12 +31,12 @@
 //! tick is inside the window, and the overflow heap is drained into it
 //! in counter order at the moment the window first covers that tick.
 
-use postal_model::{FastTime, Time};
+use postal_model::{TickScale, Time};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Number of half-tick buckets in the ring (a power of two). 512
-/// half-units = 256 time units of lookahead, far beyond any λ the
+/// Number of one-tick buckets in the ring (a power of two). At half-unit
+/// ticks that is 256 time units of lookahead, far beyond any λ the
 /// paper's grid uses, so overflow traffic is rare.
 const WINDOW: usize = 512;
 
@@ -57,57 +53,37 @@ pub enum Lane {
     Wake = 2,
 }
 
-impl Lane {
-    fn index(self) -> usize {
-        self as usize
-    }
-}
+const LANES: [Lane; 3] = [Lane::Arrival, Lane::Deliver, Lane::Wake];
 
 /// One ring slot: three FIFO lanes, one per event class. The deques are
 /// the queue's arena — buckets are drained and refilled as the window
 /// slides, so their capacity is recycled instead of reallocated.
+type Bucket<T> = [VecDeque<T>; 3];
+
+/// An overflow-heap entry, ordered by `(tick, lane, counter)` — the
+/// global event order restricted to the events beyond the window.
 #[derive(Debug)]
-struct Bucket<T> {
-    lanes: [VecDeque<T>; 3],
-}
-
-impl<T> Bucket<T> {
-    fn new() -> Bucket<T> {
-        Bucket {
-            lanes: std::array::from_fn(|_| VecDeque::new()),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
-    }
-}
-
-/// A heap entry for the overflow and exact fallbacks, ordered by
-/// `(key, lane, counter)` — the global event order restricted to the
-/// events that left the ring.
-#[derive(Debug)]
-struct Keyed<K, T> {
-    key: K,
+struct Keyed<T> {
+    tick: i64,
     lane: Lane,
     counter: u64,
     item: T,
 }
 
-impl<K: Ord, T> PartialEq for Keyed<K, T> {
+impl<T> PartialEq for Keyed<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl<K: Ord, T> Eq for Keyed<K, T> {}
-impl<K: Ord, T> PartialOrd for Keyed<K, T> {
+impl<T> Eq for Keyed<T> {}
+impl<T> PartialOrd for Keyed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<K: Ord, T> Ord for Keyed<K, T> {
+impl<T> Ord for Keyed<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (&self.key, self.lane, self.counter).cmp(&(&other.key, other.lane, other.counter))
+        (self.tick, self.lane, self.counter).cmp(&(other.tick, other.lane, other.counter))
     }
 }
 
@@ -116,21 +92,21 @@ impl<K: Ord, T> Ord for Keyed<K, T> {
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     buckets: Vec<Bucket<T>>,
-    /// Half-tick index of the window start; bucket for tick `h` is
+    /// Tick of the window start; bucket for tick `h` is
     /// `buckets[h & mask]`.
     cur: i64,
     /// Items currently in the ring (fast membership test for pop).
     ring_len: usize,
-    /// On-lattice events at ticks `≥ cur + WINDOW`.
-    overflow: BinaryHeap<Reverse<Keyed<i64, T>>>,
-    /// Off-lattice (or out-of-range) events, under exact rational order.
-    exact: BinaryHeap<Reverse<Keyed<Time, T>>>,
+    /// Events at ticks `≥ cur + WINDOW`.
+    overflow: BinaryHeap<Reverse<Keyed<T>>>,
     /// Next push counter — the global tie-break of the seed heap.
     counter: u64,
     /// Total queued items.
     len: usize,
-    /// The monotone floor: no push may be earlier than this.
-    frontier: FastTime,
+    /// The monotone floor: no push may be earlier than this tick.
+    frontier: i64,
+    /// The lattice every queued tick is counted on.
+    scale: TickScale,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -140,18 +116,32 @@ impl<T> Default for CalendarQueue<T> {
 }
 
 impl<T> CalendarQueue<T> {
-    /// An empty queue with its window starting at time zero.
+    /// An empty queue on half-unit ticks, its window starting at time
+    /// zero.
     pub fn new() -> CalendarQueue<T> {
+        CalendarQueue::with_scale(TickScale::HALF)
+    }
+
+    /// An empty queue on the given lattice, its window starting at time
+    /// zero.
+    pub fn with_scale(scale: TickScale) -> CalendarQueue<T> {
         CalendarQueue {
-            buckets: (0..WINDOW).map(|_| Bucket::new()).collect(),
+            buckets: (0..WINDOW)
+                .map(|_| std::array::from_fn(|_| VecDeque::new()))
+                .collect(),
             cur: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
-            exact: BinaryHeap::new(),
             counter: 0,
             len: 0,
-            frontier: FastTime::ZERO,
+            frontier: 0,
+            scale,
         }
+    }
+
+    /// The lattice queued ticks are counted on.
+    pub fn scale(&self) -> TickScale {
+        self.scale
     }
 
     /// Number of queued events.
@@ -164,87 +154,96 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Enqueues `item` at `time` in `lane`.
+    /// Enqueues `item` at `time` in `lane`, refining the lattice first
+    /// when `time` lies off it (queued items keep their payloads; only
+    /// their keys are rescaled).
     ///
     /// # Panics
-    /// Panics if `time` precedes the last popped time (the queue is
+    /// Panics if `time` precedes the last popped time, or if it has no
+    /// tick on any lattice within `i64` range. A caller that must not
+    /// panic converts with [`TickScale::to_tick`] and uses
+    /// [`CalendarQueue::push_tick`].
+    pub fn push(&mut self, time: Time, lane: Lane, item: T) {
+        if self.scale.to_tick(time).is_none() {
+            let finer = self
+                .scale
+                .refine(time)
+                .expect("time denominator outside the i64 tick range");
+            self.rescale_to(finer, |_, _| {})
+                .expect("queued ticks overflow the refined lattice");
+        }
+        let tick = self
+            .scale
+            .to_tick(time)
+            .expect("time outside the i64 tick range");
+        self.push_tick(tick, lane, item);
+    }
+
+    /// Dequeues the earliest event under `(time, lane, counter)` order.
+    pub fn pop(&mut self) -> Option<(Time, Lane, T)> {
+        let (tick, lane, item) = self.pop_tick()?;
+        Some((self.scale.to_time(tick), lane, item))
+    }
+
+    /// Enqueues `item` at `tick` (on [`CalendarQueue::scale`]) in `lane`.
+    ///
+    /// # Panics
+    /// Panics if `tick` precedes the last popped tick (the queue is
     /// monotone; a discrete-event engine never schedules into the past).
-    pub fn push(&mut self, time: FastTime, lane: Lane, item: T) {
+    pub fn push_tick(&mut self, tick: i64, lane: Lane, item: T) {
         assert!(
-            time >= self.frontier,
-            "calendar queue is monotone: push at {:?} precedes frontier {:?}",
-            time.to_time(),
-            self.frontier.to_time(),
+            tick >= self.frontier,
+            "calendar queue is monotone: push at tick {tick} precedes frontier {}",
+            self.frontier,
         );
         let counter = self.counter;
         self.counter += 1;
         self.len += 1;
-        match time.as_half_units() {
-            Some(h) if h < self.cur + WINDOW as i64 => {
-                debug_assert!(h >= self.cur, "monotone push below the window start");
-                self.buckets[(h & (WINDOW as i64 - 1)) as usize].lanes[lane.index()]
-                    .push_back(item);
-                self.ring_len += 1;
-            }
-            Some(h) => self.overflow.push(Reverse(Keyed {
-                key: h,
+        self.place(tick, lane, counter, item);
+    }
+
+    /// Routes one entry to its ring bucket or the overflow heap. The
+    /// difference cannot overflow: `cur ≤ frontier ≤ tick`.
+    fn place(&mut self, tick: i64, lane: Lane, counter: u64, item: T) {
+        if tick - self.cur < WINDOW as i64 {
+            self.buckets[(tick & (WINDOW as i64 - 1)) as usize][lane as usize].push_back(item);
+            self.ring_len += 1;
+        } else {
+            self.overflow.push(Reverse(Keyed {
+                tick,
                 lane,
                 counter,
                 item,
-            })),
-            None => self.exact.push(Reverse(Keyed {
-                key: time.to_time(),
-                lane,
-                counter,
-                item,
-            })),
+            }));
         }
     }
 
-    /// Dequeues the earliest event under `(time, lane, counter)` order.
-    pub fn pop(&mut self) -> Option<(FastTime, Lane, T)> {
-        // The next on-lattice tick: the first nonempty bucket when the
-        // ring holds anything (the ring always precedes the overflow,
-        // whose keys are ≥ cur + WINDOW), else the overflow head.
-        let cal_tick = if self.ring_len > 0 {
+    /// Dequeues the earliest event, with its time in ticks.
+    pub fn pop_tick(&mut self) -> Option<(i64, Lane, T)> {
+        // The ring always precedes the overflow, whose ticks are
+        // ≥ cur + WINDOW.
+        let tick = if self.ring_len > 0 {
             let mut h = self.cur;
-            while self.buckets[(h & (WINDOW as i64 - 1)) as usize].is_empty() {
+            while self.buckets[(h & (WINDOW as i64 - 1)) as usize]
+                .iter()
+                .all(VecDeque::is_empty)
+            {
                 h += 1;
             }
-            Some(h)
+            h
         } else {
-            self.overflow.peek().map(|Reverse(k)| k.key)
+            self.overflow.peek()?.0.tick
         };
-        let exact_first = match (cal_tick, self.exact.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            // Canonical representations make a tie impossible; strict
-            // comparison is exact arbitration.
-            (Some(h), Some(Reverse(k))) => k.key < Time::from_half_units(h),
-        };
-        self.len -= 1;
-        if exact_first {
-            // Note: `cur` does not advance — a later on-lattice push
-            // between `cur` and this exact time must still find its
-            // bucket inside the window.
-            let Reverse(k) = self.exact.pop().expect("peeked");
-            self.frontier = FastTime::from_time(k.key);
-            return Some((self.frontier, k.lane, k.item));
-        }
-        let tick = cal_tick.expect("calendar side was chosen");
         if tick != self.cur {
             self.advance_to(tick);
         }
+        self.len -= 1;
+        self.frontier = tick;
         let bucket = &mut self.buckets[(tick & (WINDOW as i64 - 1)) as usize];
-        for (i, lane) in [Lane::Arrival, Lane::Deliver, Lane::Wake]
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(item) = bucket.lanes[i].pop_front() {
+        for lane in LANES {
+            if let Some(item) = bucket[lane as usize].pop_front() {
                 self.ring_len -= 1;
-                self.frontier = FastTime::from_half_units(tick);
-                return Some((self.frontier, lane, item));
+                return Some((tick, lane, item));
             }
         }
         unreachable!("a nonempty or overflow-fed bucket was selected")
@@ -255,16 +254,65 @@ impl<T> CalendarQueue<T> {
     /// order keeps each bucket lane's FIFO equal to counter order.
     fn advance_to(&mut self, tick: i64) {
         self.cur = tick;
-        let horizon = tick + WINDOW as i64;
         while let Some(Reverse(k)) = self.overflow.peek() {
-            if k.key >= horizon {
+            if k.tick - tick >= WINDOW as i64 {
                 break;
             }
             let Reverse(k) = self.overflow.pop().expect("peeked");
-            self.buckets[(k.key & (WINDOW as i64 - 1)) as usize].lanes[k.lane.index()]
+            self.buckets[(k.tick & (WINDOW as i64 - 1)) as usize][k.lane as usize]
                 .push_back(k.item);
             self.ring_len += 1;
         }
+    }
+
+    /// Moves the queue onto `finer`, a refinement of its lattice:
+    /// every queued tick and the frontier are multiplied by the factor
+    /// `k = finer.den() / scale.den()`, and `rescale` is called on each
+    /// queued item with `k` so payload ticks can follow. Pop order is
+    /// unchanged.
+    ///
+    /// Returns `None`, leaving the queue untouched, when a rescaled
+    /// tick would overflow an `i64` or `finer` does not refine the
+    /// current lattice.
+    pub fn rescale_to(
+        &mut self,
+        finer: TickScale,
+        mut rescale: impl FnMut(&mut T, i64),
+    ) -> Option<()> {
+        let k = finer.factor_over(self.scale)?;
+        // Every tick is ≥ 0 (pushes are monotone from time zero), and
+        // the frontier and ring ticks lie below the window's end.
+        let top = self.overflow.iter().map(|Reverse(e)| e.tick);
+        top.fold(self.cur + WINDOW as i64, i64::max)
+            .checked_mul(k)?;
+
+        // Ring entries leave in (tick, lane, FIFO) order, numbered in
+        // that order: an entry that lands in the overflow heap then
+        // sorts before every later push at its tick and lane (no later
+        // push can carry a smaller counter, since `ring_len ≤ counter`).
+        // Overflow entries keep their counters; their ticks stay beyond
+        // the rescaled window, so they never share a tick with the ring.
+        let mut ring: Vec<(i64, Lane, T)> = Vec::with_capacity(self.ring_len);
+        for h in self.cur..self.cur + WINDOW as i64 {
+            let bucket = &mut self.buckets[(h & (WINDOW as i64 - 1)) as usize];
+            for lane in LANES {
+                ring.extend(bucket[lane as usize].drain(..).map(|x| (h, lane, x)));
+            }
+        }
+        let overflow = std::mem::take(&mut self.overflow);
+        self.cur *= k;
+        self.frontier *= k;
+        self.ring_len = 0;
+        self.scale = finer;
+        for (seq, (tick, lane, mut item)) in ring.into_iter().enumerate() {
+            rescale(&mut item, k);
+            self.place(tick * k, lane, seq as u64, item);
+        }
+        for Reverse(mut e) in overflow {
+            rescale(&mut e.item, k);
+            self.place(e.tick * k, e.lane, e.counter, e.item);
+        }
+        Some(())
     }
 }
 
@@ -272,19 +320,15 @@ impl<T> CalendarQueue<T> {
 mod tests {
     use super::*;
 
-    fn ft(h: i64) -> FastTime {
-        FastTime::from_half_units(h)
-    }
-
     #[test]
     fn pops_in_time_lane_counter_order() {
         let mut q = CalendarQueue::new();
-        q.push(ft(4), Lane::Wake, "w2");
-        q.push(ft(2), Lane::Deliver, "d1");
-        q.push(ft(2), Lane::Arrival, "a1");
-        q.push(ft(2), Lane::Arrival, "a2");
-        q.push(ft(4), Lane::Arrival, "a3");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, x)| x)).collect();
+        q.push_tick(4, Lane::Wake, "w2");
+        q.push_tick(2, Lane::Deliver, "d1");
+        q.push_tick(2, Lane::Arrival, "a1");
+        q.push_tick(2, Lane::Arrival, "a2");
+        q.push_tick(4, Lane::Arrival, "a3");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop_tick().map(|(_, _, x)| x)).collect();
         assert_eq!(order, vec!["a1", "a2", "d1", "a3", "w2"]);
     }
 
@@ -293,80 +337,115 @@ mod tests {
         // A heap pops an arrival pushed mid-drain before the remaining
         // delivers of the same tick; the ring must do the same.
         let mut q = CalendarQueue::new();
-        q.push(ft(2), Lane::Deliver, "d1");
-        q.push(ft(2), Lane::Deliver, "d2");
-        let (t, lane, x) = q.pop().unwrap();
-        assert_eq!((t, lane, x), (ft(2), Lane::Deliver, "d1"));
-        q.push(ft(2), Lane::Arrival, "a-late");
-        assert_eq!(q.pop().unwrap().2, "a-late");
-        assert_eq!(q.pop().unwrap().2, "d2");
-        assert!(q.pop().is_none());
+        q.push_tick(2, Lane::Deliver, "d1");
+        q.push_tick(2, Lane::Deliver, "d2");
+        assert_eq!(q.pop_tick().unwrap(), (2, Lane::Deliver, "d1"));
+        q.push_tick(2, Lane::Arrival, "a-late");
+        assert_eq!(q.pop_tick().unwrap().2, "a-late");
+        assert_eq!(q.pop_tick().unwrap().2, "d2");
+        assert!(q.pop_tick().is_none());
     }
 
     #[test]
     fn overflow_flushes_into_the_window_in_counter_order() {
         let far = WINDOW as i64 + 10;
         let mut q = CalendarQueue::new();
-        q.push(ft(far), Lane::Deliver, 0u32);
-        q.push(ft(far), Lane::Deliver, 1);
-        q.push(ft(1), Lane::Deliver, 2);
-        assert_eq!(q.pop().unwrap().2, 2);
+        q.push_tick(far, Lane::Deliver, 0u32);
+        q.push_tick(far, Lane::Deliver, 1);
+        q.push_tick(1, Lane::Deliver, 2);
+        assert_eq!(q.pop_tick().unwrap().2, 2);
         // Window slides to `far`; both overflow entries must come out
         // FIFO, and a direct push lands after them.
-        assert_eq!(q.pop().unwrap(), (ft(far), Lane::Deliver, 0));
-        q.push(ft(far), Lane::Deliver, 3);
-        assert_eq!(q.pop().unwrap().2, 1);
-        assert_eq!(q.pop().unwrap().2, 3);
+        assert_eq!(q.pop_tick().unwrap(), (far, Lane::Deliver, 0));
+        q.push_tick(far, Lane::Deliver, 3);
+        assert_eq!(q.pop_tick().unwrap().2, 1);
+        assert_eq!(q.pop_tick().unwrap().2, 3);
     }
 
     #[test]
-    fn exact_fallback_interleaves_with_the_ring() {
-        // 7/3 lies off the half-unit lattice → exact heap; it must pop
-        // between ticks 2 (h=4) and 5/2 (h=5).
-        let third = FastTime::from_time(Time::new(7, 3));
-        assert!(third.as_half_units().is_none());
+    fn off_lattice_push_refines_the_scale_in_order() {
+        // 7/3 is off the half-unit lattice: the queue moves to sixths
+        // and pops it between 2 and 5/2.
         let mut q = CalendarQueue::new();
-        q.push(ft(5), Lane::Arrival, "half");
-        q.push(third, Lane::Arrival, "third");
-        q.push(ft(4), Lane::Arrival, "two");
-        assert_eq!(q.pop().unwrap().2, "two");
-        let (t, _, x) = q.pop().unwrap();
-        assert_eq!(x, "third");
-        assert_eq!(t.to_time(), Time::new(7, 3));
-        assert_eq!(q.pop().unwrap().2, "half");
+        q.push(Time::new(5, 2), Lane::Arrival, "half");
+        q.push(Time::new(7, 3), Lane::Arrival, "third");
+        q.push(Time::from_int(2), Lane::Arrival, "two");
+        assert_eq!(q.scale().den(), 6);
+        assert_eq!(q.pop().unwrap(), (Time::from_int(2), Lane::Arrival, "two"));
+        assert_eq!(q.pop().unwrap(), (Time::new(7, 3), Lane::Arrival, "third"));
+        assert_eq!(q.pop().unwrap(), (Time::new(5, 2), Lane::Arrival, "half"));
     }
 
     #[test]
-    fn exact_pop_does_not_strand_later_lattice_pushes() {
-        let third = FastTime::from_time(Time::new(7, 3));
+    fn rescale_keeps_order_across_ring_and_overflow() {
+        // Same-tick ring entries, a window edge that the factor pushes
+        // into overflow, and a far overflow entry, all keep their order.
         let mut q = CalendarQueue::new();
-        q.push(third, Lane::Wake, "third");
-        assert_eq!(q.pop().unwrap().2, "third");
-        // The window start stayed at 0; a push at tick 3 must still be
-        // routable and popped.
-        q.push(ft(6), Lane::Wake, "three");
-        assert_eq!(q.pop().unwrap().2, "three");
+        let edge = WINDOW as i64 - 1;
+        q.push_tick(3, Lane::Deliver, (3, 0));
+        q.push_tick(3, Lane::Arrival, (3, 1));
+        q.push_tick(3, Lane::Deliver, (3, 2));
+        q.push_tick(edge, Lane::Wake, (edge, 0));
+        q.push_tick(edge, Lane::Wake, (edge, 1));
+        q.push_tick(5 * WINDOW as i64, Lane::Wake, (5 * WINDOW as i64, 0));
+        let finer = TickScale::new(14).unwrap();
+        q.rescale_to(finer, |item, k| item.0 *= k).unwrap();
+        q.push_tick(edge * 7, Lane::Wake, (edge * 7, 2));
+        let order: Vec<(i64, i64)> = std::iter::from_fn(|| {
+            q.pop_tick().map(|(t, _, x)| {
+                assert_eq!(t, x.0, "payload ticks follow the keys");
+                x
+            })
+        })
+        .collect();
+        assert_eq!(
+            order,
+            vec![
+                (21, 1),
+                (21, 0),
+                (21, 2),
+                (edge * 7, 0),
+                (edge * 7, 1),
+                (edge * 7, 2),
+                (35 * WINDOW as i64, 0),
+            ]
+        );
+    }
+
+    #[test]
+    fn rescale_overflow_leaves_the_queue_untouched() {
+        let mut q = CalendarQueue::new();
+        q.push_tick(i64::MAX / 2, Lane::Wake, ());
+        assert!(q
+            .rescale_to(TickScale::new(6).unwrap(), |_, _| {})
+            .is_none());
+        assert_eq!(q.scale(), TickScale::HALF);
+        // Not a refinement of half-units.
+        assert!(q
+            .rescale_to(TickScale::new(3).unwrap(), |_, _| {})
+            .is_none());
+        assert_eq!(q.pop_tick().unwrap().0, i64::MAX / 2);
     }
 
     #[test]
     #[should_panic(expected = "monotone")]
     fn push_into_the_past_panics() {
         let mut q = CalendarQueue::new();
-        q.push(ft(10), Lane::Wake, ());
-        let _ = q.pop();
-        q.push(ft(4), Lane::Wake, ());
+        q.push_tick(10, Lane::Wake, ());
+        let _ = q.pop_tick();
+        q.push_tick(4, Lane::Wake, ());
     }
 
     #[test]
-    fn len_tracks_all_three_structures() {
+    fn len_tracks_ring_and_overflow() {
         let mut q: CalendarQueue<u8> = CalendarQueue::new();
         assert!(q.is_empty());
-        q.push(ft(0), Lane::Arrival, 0);
-        q.push(ft(WINDOW as i64 * 3), Lane::Arrival, 1);
-        q.push(FastTime::from_time(Time::new(1, 3)), Lane::Arrival, 2);
+        q.push_tick(0, Lane::Arrival, 0);
+        q.push_tick(WINDOW as i64 * 3, Lane::Arrival, 1);
+        q.push(Time::new(1, 3), Lane::Arrival, 2);
         assert_eq!(q.len(), 3);
         let mut n = 0;
-        while q.pop().is_some() {
+        while q.pop_tick().is_some() {
             n += 1;
         }
         assert_eq!(n, 3);

@@ -28,24 +28,23 @@
 //! ## Two engines, one semantics
 //!
 //! [`Simulation::run`] is the production engine: a calendar/bucket
-//! queue ([`crate::calendar`]) keyed on [`FastTime`] half-units, flat
-//! `u32` processor ids and fixed-point port accounting, sized for
-//! n = 10^6 runs. [`Simulation::run_reference`] is the original seed
-//! engine — exact rationals on a binary heap — kept verbatim as the
-//! behavioral pin: `tests/engine_differential.rs` asserts the two
-//! produce identical traces, violations, counters and observability
-//! streams over the acceptance grid. When event times leave the
-//! half-unit lattice (off-lattice λ, extreme magnitudes), the fast
-//! engine's queue routes those events through an exact-`Ratio` fallback
-//! heap, so order stays reference-identical rather than approximately
-//! right.
+//! queue ([`crate::calendar`]) keyed on `i64` ticks of the run's
+//! [`TickScale`], flat `u32` processor ids and integer port accounting,
+//! sized for n = 10^6 runs. [`Simulation::run_reference`] is the
+//! original seed engine — exact rationals on a binary heap — kept
+//! verbatim as the behavioral pin: `tests/engine_differential.rs`
+//! asserts the two produce identical traces, violations, counters and
+//! observability streams over the acceptance grid. Every λ = p/q runs
+//! on ticks: the lattice is `1/D` with `D = lcm(2, q, …)`, and a wake-up
+//! or crash time off it refines `D` instead of leaving the integer
+//! domain.
 
 use crate::calendar::{CalendarQueue, Lane};
 use crate::ids::{ProcId, SendSeq};
 use crate::latency_model::LatencyModel;
 use crate::program::{Context, Program};
 use crate::trace::{Trace, Transfer};
-use postal_model::{FastTime, Time, Topology};
+use postal_model::{TickScale, Time, Topology};
 use postal_obs::{ObsEvent, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -185,6 +184,14 @@ pub enum SimError {
         /// Programs supplied.
         got: usize,
     },
+    /// An event time, λ or port time has no `i64` tick on the run's
+    /// lattice: a count beyond the tick range, or a denominator whose
+    /// lcm with the lattice's overflows. Raised instead of a wrapped or
+    /// panicking computation.
+    TickOverflow {
+        /// Ticks per unit of the lattice the run was on.
+        ticks_per_unit: i64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -196,6 +203,10 @@ impl fmt::Display for SimError {
             SimError::WrongProgramCount { expected, got } => {
                 write!(f, "expected {expected} programs, got {got}")
             }
+            SimError::TickOverflow { ticks_per_unit } => write!(
+                f,
+                "event times overflow the i64 tick lattice (1/{ticks_per_unit} unit per tick)"
+            ),
         }
     }
 }
@@ -290,16 +301,17 @@ impl<'a> Simulation<'a> {
     ///
     /// Event order, timing and the observability stream are pinned to
     /// [`Simulation::run_reference`] by `tests/engine_differential.rs`;
-    /// the fast path differs only in mechanism ([`FastTime`]
-    /// fixed-point arithmetic and an O(1) bucket queue instead of exact
-    /// rationals on a binary heap). Event times that leave the
-    /// half-unit lattice — an off-lattice λ such as 7/3, or magnitudes
-    /// beyond `postal_model::time::FIXED_LIMIT` — take the queue's
-    /// exact-`Ratio` fallback *per event*, so precision is never lost.
+    /// the fast path differs only in mechanism (`i64` tick arithmetic on
+    /// the run's [`TickScale`] and an O(1) bucket queue instead of exact
+    /// rationals on a binary heap). The lattice starts at
+    /// `D = lcm(2, latency.tick_denominator())`; a crash time, wake-up or
+    /// latency off it refines `D` to the lcm and rescales everything
+    /// queued, so precision is never lost.
     ///
     /// # Errors
-    /// Returns [`SimError`] if the program count mismatches `n` or the
-    /// event cap is hit; the cap also records an
+    /// Returns [`SimError`] if the program count mismatches `n`, the
+    /// event cap is hit, or a time leaves the `i64` tick range
+    /// ([`SimError::TickOverflow`]); the cap also records an
     /// [`ObsEvent::Truncated`] marker so the trace itself shows it was
     /// cut short rather than reading as a quietly finished run.
     pub fn run<P: Clone>(
@@ -312,33 +324,29 @@ impl<'a> Simulation<'a> {
                 got: programs.len(),
             });
         }
-        let mut st = FastState::new(self.n, self.config, self.recorder, self.faults.clone());
-        st.discard_trace = self.discard_trace;
-        st.topology = self.topology;
-        for &(p, t) in &st.faults.crashes.clone() {
+        let scale = TickScale::for_denominators([self.latency.tick_denominator()])
+            .ok_or(SimError::TickOverflow { ticks_per_unit: 2 })?;
+        let mut st = FastState::new(self, scale);
+        for &(p, t) in &self.faults.crashes {
             st.emit(ObsEvent::Crash { proc: p.0, at: t });
+            let at = st.tick(t)?;
+            st.crashes.push((p.0, at));
         }
 
         // Time 0: every processor's on_start, in index order.
         for (i, program) in programs.iter_mut().enumerate() {
-            let mut ctx = EngineCtx {
-                me: ProcId::from(i),
-                n: self.n,
-                now: Time::ZERO,
-                outbox: Vec::new(),
-                wakes: Vec::new(),
-            };
+            let mut ctx = EngineCtx::new(ProcId::from(i), self.n, Time::ZERO);
             program.on_start(&mut ctx);
-            st.apply_ctx(ctx, FastTime::ZERO, self.latency);
+            st.apply_ctx(ctx, 0, self.latency)?;
         }
 
-        while let Some((time, _lane, kind)) = st.queue.pop() {
+        while let Some((time, _lane, kind)) = st.queue.pop_tick() {
             st.events += 1;
             if st.events > self.config.max_events {
                 st.emit(ObsEvent::Truncated {
                     processed: st.events,
                     limit: self.config.max_events,
-                    at: time.to_time(),
+                    at: st.time(time),
                 });
                 return Err(SimError::EventLimitExceeded {
                     limit: self.config.max_events,
@@ -351,7 +359,7 @@ impl<'a> Simulation<'a> {
                     dst,
                     send_start,
                     payload,
-                } => st.process_arrival(time, seq, src, dst, send_start, payload),
+                } => st.process_arrival(time, seq, src, dst, send_start, payload)?,
                 FastKind::Deliver {
                     seq,
                     src,
@@ -361,77 +369,70 @@ impl<'a> Simulation<'a> {
                     recv_start,
                     payload,
                 } => {
+                    let now = st.time(time);
                     if st.crashed(dst, time) {
                         st.emit(ObsEvent::Drop {
                             seq,
                             src,
                             dst,
-                            at: time.to_time(),
+                            at: now,
                         });
                         continue;
                     }
                     st.proc_stats[dst as usize].recvs += 1;
-                    let transfer = Transfer {
-                        seq: SendSeq(seq),
-                        src: ProcId(src),
-                        dst: ProcId(dst),
-                        send_start: send_start.to_time(),
-                        send_finish: (send_start + FastTime::ONE).to_time(),
-                        arrival: arrival.to_time(),
-                        recv_start: recv_start.to_time(),
-                        recv_finish: time.to_time(),
-                        payload,
-                    };
-                    st.emit(ObsEvent::Recv {
-                        seq,
-                        src,
-                        dst,
-                        arrival: transfer.arrival,
-                        start: transfer.recv_start,
-                        finish: transfer.recv_finish,
-                        queued: transfer.was_queued(),
-                    });
-                    let now = transfer.recv_finish;
-                    let payload = transfer.payload.clone();
-                    if st.discard_trace {
+                    if st.recorder.is_some() {
+                        st.emit(ObsEvent::Recv {
+                            seq,
+                            src,
+                            dst,
+                            arrival: st.time(arrival),
+                            start: st.time(recv_start),
+                            finish: now,
+                            queued: recv_start > arrival,
+                        });
+                    }
+                    let payload = if st.discard_trace {
                         // `time` is this receive's finish instant; the
                         // running max replaces Trace::completion_time.
                         st.completion = st.completion.max(time);
+                        payload
                     } else {
-                        st.trace.push(transfer);
-                    }
-                    let mut ctx = EngineCtx {
-                        me: ProcId(dst),
-                        n: self.n,
-                        now,
-                        outbox: Vec::new(),
-                        wakes: Vec::new(),
+                        // The send's finish is its output port's free
+                        // time, computed (checked) when it was issued.
+                        let send_finish = send_start + st.queue.scale().den();
+                        st.trace.push(Transfer {
+                            seq: SendSeq(seq),
+                            src: ProcId(src),
+                            dst: ProcId(dst),
+                            send_start: st.time(send_start),
+                            send_finish: st.time(send_finish),
+                            arrival: st.time(arrival),
+                            recv_start: st.time(recv_start),
+                            recv_finish: now,
+                            payload: payload.clone(),
+                        });
+                        payload
                     };
+                    let mut ctx = EngineCtx::new(ProcId(dst), self.n, now);
                     programs[dst as usize].on_receive(&mut ctx, ProcId(src), payload);
-                    st.apply_ctx(ctx, time, self.latency);
+                    st.apply_ctx(ctx, time, self.latency)?;
                 }
                 FastKind::Wake(p) => {
                     if st.crashed(p, time) {
                         continue;
                     }
-                    let at = time.to_time();
+                    let at = st.time(time);
                     st.emit(ObsEvent::Wake { proc: p, at });
-                    let mut ctx = EngineCtx {
-                        me: ProcId(p),
-                        n: self.n,
-                        now: at,
-                        outbox: Vec::new(),
-                        wakes: Vec::new(),
-                    };
+                    let mut ctx = EngineCtx::new(ProcId(p), self.n, at);
                     programs[p as usize].on_wake(&mut ctx);
-                    st.apply_ctx(ctx, time, self.latency);
+                    st.apply_ctx(ctx, time, self.latency)?;
                 }
             }
         }
 
         Ok(RunReport {
             completion: if self.discard_trace {
-                st.completion.to_time()
+                st.time(st.completion)
             } else {
                 st.trace.completion_time()
             },
@@ -472,13 +473,7 @@ impl<'a> Simulation<'a> {
 
         // Time 0: every processor's on_start, in index order.
         for (i, program) in programs.iter_mut().enumerate() {
-            let mut ctx = EngineCtx {
-                me: ProcId::from(i),
-                n: self.n,
-                now: Time::ZERO,
-                outbox: Vec::new(),
-                wakes: Vec::new(),
-            };
+            let mut ctx = EngineCtx::new(ProcId::from(i), self.n, Time::ZERO);
             program.on_start(&mut ctx);
             engine.apply_ctx(ctx, self.latency);
         }
@@ -526,13 +521,7 @@ impl<'a> Simulation<'a> {
                     } else {
                         engine.trace.push(d.transfer);
                     }
-                    let mut ctx = EngineCtx {
-                        me: dst,
-                        n: self.n,
-                        now: entry.time,
-                        outbox: Vec::new(),
-                        wakes: Vec::new(),
-                    };
+                    let mut ctx = EngineCtx::new(dst, self.n, entry.time);
                     programs[dst.index()].on_receive(&mut ctx, from, payload);
                     engine.apply_ctx(ctx, self.latency);
                 }
@@ -544,13 +533,7 @@ impl<'a> Simulation<'a> {
                         proc: p.0,
                         at: entry.time,
                     });
-                    let mut ctx = EngineCtx {
-                        me: p,
-                        n: self.n,
-                        now: entry.time,
-                        outbox: Vec::new(),
-                        wakes: Vec::new(),
-                    };
+                    let mut ctx = EngineCtx::new(p, self.n, entry.time);
                     programs[p.index()].on_wake(&mut ctx);
                     engine.apply_ctx(ctx, self.latency);
                 }
@@ -814,18 +797,18 @@ impl<'r, P: Clone> EngineState<'r, P> {
 }
 
 /// A fast-engine event. Processor ids are flat `u32`s and times are
-/// [`FastTime`] fixed-point values; exact [`Time`] rationals are only
-/// materialized at the edges (program callbacks, the trace, the
-/// observability stream). The enum is stored by value in the calendar
-/// queue's bucket deques — the recycled bucket storage is the event
-/// arena, with no per-event box.
+/// `i64` ticks on the queue's [`TickScale`]; exact [`Time`] rationals
+/// are only materialized at the edges (program callbacks, the trace,
+/// the observability stream). The enum is stored by value in the
+/// calendar queue's bucket deques — the recycled bucket storage is the
+/// event arena, with no per-event box.
 enum FastKind<P> {
     /// A message arrival: receive timing is decided when it fires.
     Arrival {
         seq: u64,
         src: u32,
         dst: u32,
-        send_start: FastTime,
+        send_start: i64,
         payload: P,
     },
     /// A receive completing at the event's time (`recv_start + 1`).
@@ -833,34 +816,57 @@ enum FastKind<P> {
         seq: u64,
         src: u32,
         dst: u32,
-        send_start: FastTime,
-        arrival: FastTime,
-        recv_start: FastTime,
+        send_start: i64,
+        arrival: i64,
+        recv_start: i64,
         payload: P,
     },
     /// A timer callback firing on the given processor.
     Wake(u32),
 }
 
+impl<P> FastKind<P> {
+    /// Multiplies the payload's ticks by a lattice refinement factor.
+    /// Cannot overflow once the queue has accepted the factor: payload
+    /// ticks never exceed the event's own key (λ ≥ 1, so a send starts
+    /// no later than its arrival, which precedes its receive).
+    fn rescale(&mut self, k: i64) {
+        match self {
+            FastKind::Arrival { send_start, .. } => *send_start *= k,
+            FastKind::Deliver {
+                send_start,
+                arrival,
+                recv_start,
+                ..
+            } => {
+                *send_start *= k;
+                *arrival *= k;
+                *recv_start *= k;
+            }
+            FastKind::Wake(_) => {}
+        }
+    }
+}
+
 /// Mutable state of the fast engine; the counterpart of the reference
-/// engine's `EngineState`, with fixed-point port accounting.
+/// engine's `EngineState`, with integer port accounting. The queue owns
+/// the run's lattice; every other tick here is counted on it.
 struct FastState<'r, P> {
     config: SimConfig,
     recorder: Option<&'r dyn Recorder>,
-    faults: crate::faults::FaultPlan,
-    /// Fault-plan fast guards: skip the hash/scan lookups entirely on
-    /// the (overwhelmingly common) fault-free runs.
-    has_drops: bool,
-    has_crashes: bool,
+    /// Sends to drop in flight (see [`crate::faults::FaultPlan`]).
+    drops: std::collections::HashSet<u64>,
+    /// `(processor, crash tick)` of every planned crash.
+    crashes: Vec<(u32, i64)>,
     queue: CalendarQueue<FastKind<P>>,
     /// When each processor's output port becomes free.
-    out_free: Vec<FastTime>,
+    out_free: Vec<i64>,
     /// When each processor's input port becomes free.
-    in_free: Vec<FastTime>,
+    in_free: Vec<i64>,
     trace: Trace<P>,
     /// Running max receive-finish, maintained instead of `trace` when
     /// the run discards it.
-    completion: FastTime,
+    completion: i64,
     discard_trace: bool,
     violations: Vec<Violation>,
     topology: Option<Topology>,
@@ -871,28 +877,22 @@ struct FastState<'r, P> {
 }
 
 impl<'r, P: Clone> FastState<'r, P> {
-    fn new(
-        n: usize,
-        config: SimConfig,
-        recorder: Option<&'r dyn Recorder>,
-        faults: crate::faults::FaultPlan,
-    ) -> FastState<'r, P> {
+    fn new(sim: &Simulation<'r>, scale: TickScale) -> FastState<'r, P> {
         FastState {
-            config,
-            recorder,
-            has_drops: !faults.drop_sends.is_empty(),
-            has_crashes: !faults.crashes.is_empty(),
-            faults,
-            queue: CalendarQueue::new(),
-            out_free: vec![FastTime::ZERO; n],
-            in_free: vec![FastTime::ZERO; n],
+            config: sim.config,
+            recorder: sim.recorder,
+            drops: sim.faults.drop_sends.clone(),
+            crashes: Vec::new(),
+            queue: CalendarQueue::with_scale(scale),
+            out_free: vec![0; sim.n],
+            in_free: vec![0; sim.n],
             trace: Trace::new(),
-            completion: FastTime::ZERO,
-            discard_trace: false,
+            completion: 0,
+            discard_trace: sim.discard_trace,
             violations: Vec::new(),
-            topology: None,
+            topology: sim.topology,
             edge_violations: Vec::new(),
-            proc_stats: vec![ProcStats::default(); n],
+            proc_stats: vec![ProcStats::default(); sim.n],
             next_seq: 0,
             events: 0,
         }
@@ -904,24 +904,73 @@ impl<'r, P: Clone> FastState<'r, P> {
         }
     }
 
-    fn crashed(&self, proc: u32, t: FastTime) -> bool {
-        self.has_crashes && self.faults.crashed(ProcId(proc), t.to_time())
+    /// The exact time of a tick.
+    fn time(&self, tick: i64) -> Time {
+        self.queue.scale().to_time(tick)
+    }
+
+    fn overflow(&self) -> SimError {
+        SimError::TickOverflow {
+            ticks_per_unit: self.queue.scale().den(),
+        }
+    }
+
+    /// `t` in ticks. A `t` off the lattice first moves the run onto the
+    /// coarsest lattice holding both, multiplying every stored tick by
+    /// the refinement factor.
+    fn tick(&mut self, t: Time) -> Result<i64, SimError> {
+        let scale = self.queue.scale();
+        if let Some(h) = scale.to_tick(t) {
+            return Ok(h);
+        }
+        let overflow = || SimError::TickOverflow {
+            ticks_per_unit: scale.den(),
+        };
+        let finer = scale.refine(t).ok_or_else(overflow)?;
+        let k = finer.den() / scale.den();
+        let stored = (self.out_free.iter_mut().chain(&mut self.in_free))
+            .chain(self.crashes.iter_mut().map(|(_, h)| h))
+            .chain([&mut self.completion]);
+        for h in stored {
+            *h = h.checked_mul(k).ok_or_else(overflow)?;
+        }
+        self.queue
+            .rescale_to(finer, FastKind::rescale)
+            .ok_or_else(overflow)?;
+        finer.to_tick(t).ok_or_else(overflow)
+    }
+
+    fn crashed(&self, proc: u32, t: i64) -> bool {
+        self.crashes.iter().any(|&(p, at)| p == proc && t >= at)
     }
 
     /// Serializes a batch of sends through `src`'s output port, starting
-    /// no earlier than `now`. Mirrors the reference `issue_sends`
-    /// operation for operation (counter assignment included) so event
-    /// order is bit-identical.
+    /// no earlier than `now` (a tick). Mirrors the reference
+    /// `issue_sends` operation for operation (counter assignment
+    /// included) so event order is bit-identical.
     fn issue_sends(
         &mut self,
         src: ProcId,
-        now: FastTime,
+        mut now: i64,
         outbox: Vec<(ProcId, P)>,
         latency: &dyn LatencyModel,
-    ) {
+    ) -> Result<(), SimError> {
         for (dst, payload) in outbox {
-            let send_start = now.max(self.out_free[src.index()]);
-            self.out_free[src.index()] = send_start + FastTime::ONE;
+            let den = self.queue.scale().den();
+            let mut send_start = now.max(self.out_free[src.index()]);
+            let start = self.time(send_start);
+            let lam = self.tick(latency.latency(src, dst, start).as_time())?;
+            let one = self.queue.scale().den();
+            if one != den {
+                // The latency refined the lattice; this call's own ticks
+                // follow (the frontier and a port time, both checked).
+                (now, send_start) = (now * (one / den), send_start * (one / den));
+            }
+            let send_finish = send_start.checked_add(one).ok_or_else(|| self.overflow())?;
+            let arrival = send_start
+                .checked_add(lam - one)
+                .ok_or_else(|| self.overflow())?;
+            self.out_free[src.index()] = send_finish;
             self.proc_stats[src.index()].sends += 1;
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -931,22 +980,20 @@ impl<'r, P: Clone> FastState<'r, P> {
                         seq: SendSeq(seq),
                         src,
                         dst,
-                        send_start: send_start.to_time(),
+                        send_start: start,
                     });
                 }
             }
-            let lam = latency.latency(src, dst, send_start.to_time());
-            let arrival = send_start + lam.as_fast_time() - FastTime::ONE;
             if self.recorder.is_some() {
                 self.emit(ObsEvent::Send {
                     seq,
                     src: src.0,
                     dst: dst.0,
-                    start: send_start.to_time(),
-                    finish: (send_start + FastTime::ONE).to_time(),
+                    start,
+                    finish: self.time(send_finish),
                 });
             }
-            self.queue.push(
+            self.queue.push_tick(
                 arrival,
                 Lane::Arrival,
                 FastKind::Arrival {
@@ -958,47 +1005,54 @@ impl<'r, P: Clone> FastState<'r, P> {
                 },
             );
         }
+        Ok(())
     }
 
     /// Applies everything a program requested during one callback.
-    /// `now` is the callback's fixed-point time (`ctx.now` is its exact
-    /// image).
-    fn apply_ctx(&mut self, ctx: EngineCtx<P>, now: FastTime, latency: &dyn LatencyModel) {
+    /// `now` is the callback's tick (`ctx.now` is its exact image).
+    fn apply_ctx(
+        &mut self,
+        ctx: EngineCtx<P>,
+        now: i64,
+        latency: &dyn LatencyModel,
+    ) -> Result<(), SimError> {
         let EngineCtx {
             me, outbox, wakes, ..
         } = ctx;
-        self.issue_sends(me, now, outbox, latency);
+        self.issue_sends(me, now, outbox, latency)?;
         for t in wakes {
-            self.queue
-                .push(FastTime::from_time(t), Lane::Wake, FastKind::Wake(me.0));
+            let tick = self.tick(t)?;
+            self.queue.push_tick(tick, Lane::Wake, FastKind::Wake(me.0));
         }
+        Ok(())
     }
 
     fn process_arrival(
         &mut self,
-        arrival: FastTime,
+        arrival: i64,
         seq: u64,
         src: u32,
         dst: u32,
-        send_start: FastTime,
+        send_start: i64,
         payload: P,
-    ) {
-        if (self.has_drops && self.faults.drops(seq)) || self.crashed(dst, arrival) {
+    ) -> Result<(), SimError> {
+        // The emptiness test skips hashing on drop-free runs.
+        if (!self.drops.is_empty() && self.drops.contains(&seq)) || self.crashed(dst, arrival) {
             // Lost in flight, or nobody home to receive it.
             self.emit(ObsEvent::Drop {
                 seq,
                 src,
                 dst,
-                at: arrival.to_time(),
+                at: self.time(arrival),
             });
-            return;
+            return Ok(());
         }
         let port_free = self.in_free[dst as usize];
         let recv_start = match self.config.port_mode {
             PortMode::Strict => {
                 if port_free > arrival {
-                    let at = arrival.to_time();
-                    let busy_until = port_free.to_time();
+                    let at = self.time(arrival);
+                    let busy_until = self.time(port_free);
                     self.emit(ObsEvent::Violation {
                         seq,
                         dst,
@@ -1016,10 +1070,12 @@ impl<'r, P: Clone> FastState<'r, P> {
             }
             PortMode::Queued => arrival.max(port_free),
         };
-        let recv_finish = recv_start + FastTime::ONE;
+        let recv_finish = recv_start
+            .checked_add(self.queue.scale().den())
+            .ok_or_else(|| self.overflow())?;
         let slot = &mut self.in_free[dst as usize];
         *slot = (*slot).max(recv_finish);
-        self.queue.push(
+        self.queue.push_tick(
             recv_finish,
             Lane::Deliver,
             FastKind::Deliver {
@@ -1032,6 +1088,7 @@ impl<'r, P: Clone> FastState<'r, P> {
                 payload,
             },
         );
+        Ok(())
     }
 }
 
@@ -1042,6 +1099,18 @@ struct EngineCtx<P> {
     now: Time,
     outbox: Vec<(ProcId, P)>,
     wakes: Vec<Time>,
+}
+
+impl<P> EngineCtx<P> {
+    fn new(me: ProcId, n: usize, now: Time) -> EngineCtx<P> {
+        EngineCtx {
+            me,
+            n,
+            now,
+            outbox: Vec::new(),
+            wakes: Vec::new(),
+        }
+    }
 }
 
 impl<P> Context<P> for EngineCtx<P> {
@@ -1109,6 +1178,14 @@ mod tests {
             v.push(Box::new(Idle));
         }
         v
+    }
+
+    #[test]
+    fn queued_event_is_at_most_48_bytes_plus_payload() {
+        use std::mem::size_of;
+        assert!(size_of::<FastKind<()>>() <= 48);
+        assert!(size_of::<FastKind<u64>>() <= 48 + 8);
+        assert!(size_of::<FastKind<[u64; 4]>>() <= 48 + 32);
     }
 
     #[test]

@@ -87,6 +87,10 @@ impl LatencyModel for Jittered {
                 .expect("base ≥ 1 and extra ≥ 0"),
         )
     }
+
+    fn tick_denominator(&self) -> i128 {
+        self.base.ticks_per_unit()
+    }
 }
 
 #[cfg(test)]

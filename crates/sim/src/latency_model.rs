@@ -28,6 +28,33 @@ pub trait LatencyModel {
     fn max_latency(&self) -> Option<Latency> {
         None
     }
+
+    /// A denominator `q ≥ 1` such that every latency this model returns
+    /// is a multiple of `1/q` — the model's contribution to the run's
+    /// tick lattice (see [`postal_model::TickScale`]).
+    ///
+    /// The engine counts time in ticks of `1/D` with `D` a multiple of
+    /// this value, so an accurate answer keeps every event on the
+    /// lattice from the first one. The default, 1, declares nothing:
+    /// a latency off the lattice then refines `D` when it first
+    /// appears, at the cost of rescaling the queued events once.
+    fn tick_denominator(&self) -> i128 {
+        1
+    }
+}
+
+/// `lcm` of the latencies' denominators. Saturates at `i128::MAX`, a
+/// value no `i64` tick lattice holds, so the engine reports it as a
+/// tick overflow.
+pub(crate) fn lcm_of_denominators(lams: impl IntoIterator<Item = Latency>) -> i128 {
+    lams.into_iter().fold(1i128, |acc, l| {
+        let q = l.ticks_per_unit();
+        let (mut a, mut b) = (acc, q);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        acc.checked_mul(q / a).unwrap_or(i128::MAX)
+    })
 }
 
 /// The paper's model: one system-wide λ for every pair and every time.
@@ -41,6 +68,10 @@ impl LatencyModel for Uniform {
 
     fn max_latency(&self) -> Option<Latency> {
         Some(self.0)
+    }
+
+    fn tick_denominator(&self) -> i128 {
+        self.0.ticks_per_unit()
     }
 }
 
@@ -95,6 +126,10 @@ impl LatencyModel for TimeVarying {
 
     fn max_latency(&self) -> Option<Latency> {
         self.steps.iter().map(|&(_, l)| l).max()
+    }
+
+    fn tick_denominator(&self) -> i128 {
+        lcm_of_denominators(self.steps.iter().map(|&(_, l)| l))
     }
 }
 
@@ -174,6 +209,10 @@ impl LatencyModel for Hierarchical {
     fn max_latency(&self) -> Option<Latency> {
         Some(self.remote)
     }
+
+    fn tick_denominator(&self) -> i128 {
+        lcm_of_denominators([self.local, self.remote])
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +277,24 @@ mod tests {
             Latency::from_int(8)
         );
         assert_eq!(m.max_latency(), Some(Latency::from_int(8)));
+    }
+
+    #[test]
+    fn tick_denominators_cover_every_latency() {
+        assert_eq!(Uniform(Latency::from_ratio(7, 3)).tick_denominator(), 3);
+        let tv = TimeVarying::new(vec![
+            (Time::ZERO, Latency::from_ratio(5, 2)),
+            (Time::new(1, 7), Latency::from_ratio(8, 3)),
+        ]);
+        assert_eq!(tv.tick_denominator(), 6);
+        let h = Hierarchical::blocks(4, 2, Latency::from_ratio(7, 3), Latency::from_ratio(5, 2));
+        assert_eq!(h.tick_denominator(), 6);
+        // Coprime to 5, so the lcm overflows and saturates.
+        let big = Latency::from_ratio(i128::MAX, i128::MAX - 1);
+        assert_eq!(
+            lcm_of_denominators([big, Latency::from_ratio(6, 5)]),
+            i128::MAX
+        );
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! calendar queue must pop the *same payloads in the same order* for
 //! any monotone push/pop interleaving — including same-timestamp
 //! bursts (tie-breaking by lane, then push order), pushes beyond the
-//! ring window (overflow heap), and off-lattice times (exact-`Ratio`
-//! fallback interleaved with the fixed-point ring).
+//! ring window (overflow heap), any starting lattice `1/D`, and times
+//! off that lattice (which refine it mid-stream, rescaling everything
+//! queued).
 
-use postal_model::{FastTime, Time};
+use postal_model::{TickScale, Time};
 use postal_sim::{CalendarQueue, Lane};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -23,8 +24,8 @@ fn lane_of(code: u8) -> Lane {
 }
 
 /// One generated operation: `kind == 0` pops, anything else pushes at
-/// `frontier + delta`, where the delta mixes half-units (on-lattice)
-/// and thirds (off-lattice, forcing the exact fallback).
+/// `frontier + delta`, where the delta mixes half-units, thirds and
+/// sevenths (off most starting lattices, forcing refinement).
 type Op = (u8, u16, u8, u8);
 
 /// Replays `ops` against both structures and asserts every pop agrees.
@@ -32,8 +33,8 @@ type Op = (u8, u16, u8, u8);
 /// Pushes are offsets from the pop frontier, so the calendar queue's
 /// monotonicity contract holds by construction — exactly how the
 /// engine uses it.
-fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut queue: CalendarQueue<u64> = CalendarQueue::new();
+fn replay(den: i64, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut queue: CalendarQueue<u64> = CalendarQueue::with_scale(TickScale::new(den).unwrap());
     let mut oracle: BinaryHeap<Reverse<(Time, Lane, u64)>> = BinaryHeap::new();
     let mut payload_of_counter: Vec<u64> = Vec::new();
     let mut frontier = Time::ZERO;
@@ -47,7 +48,7 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
             match (got, want) {
                 (None, None) => {}
                 (Some((ft, lane, item)), Some(Reverse((t, olane, ocounter)))) => {
-                    prop_assert_eq!(ft.to_time(), t, "pop time diverged from oracle");
+                    prop_assert_eq!(ft, t, "pop time diverged from oracle");
                     prop_assert_eq!(lane, olane, "pop lane diverged from oracle");
                     prop_assert_eq!(
                         item,
@@ -71,9 +72,18 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
                 2 => delta as i128,
                 _ => (delta % 64) as i128,
             };
-            let t = frontier + Time::new(half, 2) + Time::new((third % 3) as i128, 3);
+            let off = match third % 4 {
+                3 => Time::new(1, 7),
+                k => Time::new(k as i128, 3),
+            };
+            let t = frontier + Time::new(half, 2) + off;
             let lane = lane_of(lane_code);
-            queue.push(FastTime::from_time(t), lane, next_payload);
+            queue.push(t, lane, next_payload);
+            prop_assert_eq!(
+                queue.scale().den() % den,
+                0,
+                "refinement must keep the old lattice"
+            );
             oracle.push(Reverse((t, lane, counter)));
             payload_of_counter.push(next_payload);
             counter += 1;
@@ -88,7 +98,7 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
             Some(x) => x,
             None => return Err(TestCaseError::fail("queue drained before oracle")),
         };
-        prop_assert_eq!(ft.to_time(), t, "drain time diverged");
+        prop_assert_eq!(ft, t, "drain time diverged");
         prop_assert_eq!(lane, olane, "drain lane diverged");
         prop_assert_eq!(
             item,
@@ -103,11 +113,15 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary monotone interleavings, mixing ties, window overflow,
-    /// and off-lattice thirds.
+    /// Arbitrary monotone interleavings on a random starting lattice,
+    /// mixing ties, window overflow, and off-lattice thirds and
+    /// sevenths.
     #[test]
-    fn matches_heap_oracle(ops in proptest::collection::vec((0u8..4, 0u16..600, 0u8..3, 0u8..3), 1..120)) {
-        replay(&ops)?;
+    fn matches_heap_oracle(
+        den in 1i64..=12,
+        ops in proptest::collection::vec((0u8..4, 0u16..600, 0u8..3, 0u8..4), 1..120),
+    ) {
+        replay(den, &ops)?;
     }
 
     /// Everything at one instant: order must reduce to (lane, push
@@ -115,6 +129,7 @@ proptest! {
     /// does.
     #[test]
     fn same_timestamp_bursts_break_ties_like_the_heap(
+        den in 1i64..=12,
         lanes in proptest::collection::vec(0u8..3, 1..40),
     ) {
         let ops: Vec<Op> = lanes
@@ -122,27 +137,28 @@ proptest! {
             .map(|&l| (1u8, 0u16, l, 0u8))
             .chain(lanes.iter().map(|_| (0u8, 0, 0, 0)))
             .collect();
-        replay(&ops)?;
+        replay(den, &ops)?;
     }
 
-    /// Purely off-lattice times (thirds): the calendar ring never
-    /// fires, every event rides the exact fallback, and order still
-    /// matches the oracle.
+    /// Thirds and sevenths on half-unit ticks: pushes refine the
+    /// lattice with events still queued, and order still matches the
+    /// oracle.
     #[test]
-    fn off_lattice_streams_use_the_exact_fallback(
+    fn off_lattice_streams_refine_the_lattice(
         ops in proptest::collection::vec((0u8..2, 0u16..30, 0u8..3), 1..80),
     ) {
         let ops: Vec<Op> = ops
             .into_iter()
-            .map(|(kind, delta, lane)| (kind, delta, lane, 1 + (delta % 2) as u8))
+            .map(|(kind, delta, lane)| (kind, delta, lane, 1 + (delta % 3) as u8))
             .collect();
-        replay(&ops)?;
+        replay(2, &ops)?;
     }
 
     /// Far-future pushes land in the overflow heap and must flush back
     /// into the ring in push order as the window slides over them.
     #[test]
     fn window_overflow_preserves_order(
+        den in 1i64..=12,
         deltas in proptest::collection::vec(0u16..2000, 1..60),
     ) {
         let ops: Vec<Op> = deltas
@@ -150,6 +166,6 @@ proptest! {
             .map(|&d| (2u8, d.min(599), (d % 3) as u8, 0u8))
             .chain(deltas.iter().map(|_| (0u8, 0, 0, 0)))
             .collect();
-        replay(&ops)?;
+        replay(den, &ops)?;
     }
 }

@@ -16,13 +16,16 @@
 //! ```
 //!
 //! Times and λ accept the same forms the CLI does: `"5/2"`, `"2.5"`, or
-//! a bare JSON number. `"messages"` is optional (default 1).
+//! a bare JSON number. `"messages"` is optional (default 1). λ and every
+//! send time must share one `i64` tick lattice ([`TimeLattice`]); a time
+//! outside it is rejected with a [`TimeRangeError`] naming the send.
 
 use postal_model::latency::Latency;
 use postal_model::lint::Diagnostic;
 use postal_model::ratio::Ratio;
 use postal_model::schedule::{Schedule, TimedSend};
-use postal_model::time::Time;
+use postal_model::time::{TickScale, Time, TICK_LIMIT};
+use postal_obs::ObsEvent;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -60,17 +63,148 @@ impl ScheduleFile {
     }
 }
 
-/// A JSON syntax or shape error, with a byte offset when syntactic.
+/// Why a schedule or event log could not be read.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError(pub String);
+pub enum JsonError {
+    /// A syntax or shape error, with a byte offset when syntactic.
+    Syntax(String),
+    /// A well-formed time the linters cannot hold exactly.
+    TimeRange(TimeRangeError),
+}
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        match self {
+            JsonError::Syntax(msg) => f.write_str(msg),
+            JsonError::TimeRange(e) => e.fmt(f),
+        }
     }
 }
 
 impl std::error::Error for JsonError {}
+
+impl From<TimeRangeError> for JsonError {
+    fn from(e: TimeRangeError) -> JsonError {
+        JsonError::TimeRange(e)
+    }
+}
+
+/// A parsed time outside the range the linters hold exactly.
+///
+/// Every time of one input — λ, and each send start — must share one
+/// `i64` tick lattice (see [`TickScale`]): the lcm of their denominators
+/// fits an `i64`, and each time is at most [`TICK_LIMIT`] ticks from
+/// zero. Then every sum and cross-multiplied comparison the linters
+/// make stays inside 128-bit rationals, so no input can overflow them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TimeRangeError {
+    /// Where the time was read: `lambda`, `sends[3]` (input order) or
+    /// `line 7` of an event log.
+    pub field: String,
+    /// The time, exactly as parsed.
+    pub value: Ratio,
+}
+
+impl fmt::Display for TimeRangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: time {} is out of range: every time must lie on one i64 tick lattice \
+             with lambda (denominators with an lcm below 2^63, at most 2^61 ticks from zero)",
+            self.field, self.value
+        )
+    }
+}
+
+/// Admits the times of one input onto a shared tick lattice, refining
+/// it as denominators appear: the codec-side guard behind
+/// [`TimeRangeError`].
+#[derive(Debug, Clone)]
+pub struct TimeLattice {
+    scale: TickScale,
+    /// Largest tick magnitude admitted so far, on `scale`.
+    max_tick: i64,
+}
+
+impl TimeLattice {
+    /// A lattice holding λ, or the error naming it.
+    pub fn new(latency: Latency) -> Result<TimeLattice, TimeRangeError> {
+        let mut lattice = TimeLattice {
+            scale: TickScale::HALF,
+            max_tick: 0,
+        };
+        let lam = latency.as_time();
+        if !lattice.admit(lam) {
+            return Err(TimeRangeError {
+                field: "lambda".into(),
+                value: lam.as_ratio(),
+            });
+        }
+        Ok(lattice)
+    }
+
+    /// Admits `t`, refining the lattice if needed. `false` — and the
+    /// lattice unchanged — when `t`, or an earlier time on the refined
+    /// lattice, would fall out of range.
+    pub fn admit(&mut self, t: Time) -> bool {
+        if let Some(h) = self.scale.to_tick(t) {
+            self.max_tick = self.max_tick.max(h.abs());
+            return true;
+        }
+        let refined = self.scale.refine(t).and_then(|finer| {
+            let max_tick = self
+                .max_tick
+                .checked_mul(finer.factor_over(self.scale)?)
+                .filter(|&m| m <= TICK_LIMIT)?;
+            Some((finer, max_tick.max(finer.to_tick(t)?.abs())))
+        });
+        let Some((scale, max_tick)) = refined else {
+            return false;
+        };
+        (self.scale, self.max_tick) = (scale, max_tick);
+        true
+    }
+
+    /// Admits every time an event carries; the first one out of range
+    /// is returned as the error.
+    pub fn admit_event(&mut self, ev: &ObsEvent) -> Result<(), Time> {
+        let times: &[Time] = match ev {
+            ObsEvent::Send { start, finish, .. } => &[*start, *finish],
+            ObsEvent::Recv {
+                arrival,
+                start,
+                finish,
+                ..
+            } => &[*arrival, *start, *finish],
+            ObsEvent::Violation {
+                arrival,
+                busy_until,
+                ..
+            } => &[*arrival, *busy_until],
+            ObsEvent::Wake { at, .. }
+            | ObsEvent::Drop { at, .. }
+            | ObsEvent::Crash { at, .. }
+            | ObsEvent::Truncated { at, .. } => &[*at],
+        };
+        match times.iter().find(|&&t| !self.admit(t)) {
+            Some(&t) => Err(t),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Holds a parsed schedule's λ and send starts (in input order) to one
+/// tick lattice.
+pub(crate) fn check_times(latency: Latency, sends: &[TimedSend]) -> Result<(), TimeRangeError> {
+    let mut lattice = TimeLattice::new(latency)?;
+    match sends.iter().position(|s| !lattice.admit(s.send_start)) {
+        Some(i) => Err(TimeRangeError {
+            field: format!("sends[{i}]"),
+            value: sends[i].send_start.as_ratio(),
+        }),
+        None => Ok(()),
+    }
+}
 
 /// Parsed JSON value. Numbers keep their literal text so that times can
 /// be re-parsed exactly as rationals (e.g. `2.5` → `5/2`, no binary
@@ -99,7 +233,7 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&self, what: &str) -> JsonError {
-        JsonError(format!("{what} at byte {}", self.pos))
+        JsonError::Syntax(format!("{what} at byte {}", self.pos))
     }
 
     fn skip_ws(&mut self) {
@@ -281,10 +415,14 @@ fn as_ratio(v: &Value, field: &str) -> Result<Ratio, JsonError> {
     let text = match v {
         Value::Num(t) => t.as_str(),
         Value::Str(s) => s.as_str(),
-        _ => return Err(JsonError(format!("\"{field}\" must be a number or string"))),
+        _ => {
+            return Err(JsonError::Syntax(format!(
+                "\"{field}\" must be a number or string"
+            )))
+        }
     };
     text.parse::<Ratio>()
-        .map_err(|_| JsonError(format!("\"{field}\": cannot parse {text:?} as a rational")))
+        .map_err(|_| JsonError::Syntax(format!("\"{field}\": cannot parse {text:?} as a rational")))
 }
 
 fn as_u64(v: &Value, field: &str) -> Result<u64, JsonError> {
@@ -293,7 +431,7 @@ fn as_u64(v: &Value, field: &str) -> Result<u64, JsonError> {
             return Ok(x);
         }
     }
-    Err(JsonError(format!(
+    Err(JsonError::Syntax(format!(
         "\"{field}\" must be a nonnegative integer"
     )))
 }
@@ -301,21 +439,21 @@ fn as_u64(v: &Value, field: &str) -> Result<u64, JsonError> {
 /// Parses a schedule file (see module docs for the format).
 pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
     let Value::Obj(top) = parse_value(text)? else {
-        return Err(JsonError("top level must be an object".into()));
+        return Err(JsonError::Syntax("top level must be an object".into()));
     };
     let n = top
         .get("n")
-        .ok_or_else(|| JsonError("missing \"n\"".into()))
+        .ok_or_else(|| JsonError::Syntax("missing \"n\"".into()))
         .and_then(|v| as_u64(v, "n"))?;
     if n == 0 || n > u32::MAX as u64 {
-        return Err(JsonError(format!("\"n\" out of range: {n}")));
+        return Err(JsonError::Syntax(format!("\"n\" out of range: {n}")));
     }
     let lam_ratio = top
         .get("lambda")
-        .ok_or_else(|| JsonError("missing \"lambda\"".into()))
+        .ok_or_else(|| JsonError::Syntax("missing \"lambda\"".into()))
         .and_then(|v| as_ratio(v, "lambda"))?;
-    let latency =
-        Latency::new(lam_ratio).map_err(|e| JsonError(format!("invalid \"lambda\": {e}")))?;
+    let latency = Latency::new(lam_ratio)
+        .map_err(|e| JsonError::Syntax(format!("invalid \"lambda\": {e}")))?;
     let messages = match top.get("messages") {
         None => None,
         Some(v) => Some(as_u64(v, "messages")?),
@@ -323,30 +461,32 @@ pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
     let topology = match top.get("topology") {
         None => None,
         Some(Value::Str(s)) => Some(s.clone()),
-        Some(_) => return Err(JsonError("\"topology\" must be a string".into())),
+        Some(_) => return Err(JsonError::Syntax("\"topology\" must be a string".into())),
     };
     let Some(Value::Arr(raw_sends)) = top.get("sends") else {
-        return Err(JsonError("missing \"sends\" array".into()));
+        return Err(JsonError::Syntax("missing \"sends\" array".into()));
     };
     let mut sends = Vec::with_capacity(raw_sends.len());
     for (i, item) in raw_sends.iter().enumerate() {
         let Value::Obj(o) = item else {
-            return Err(JsonError(format!("sends[{i}] must be an object")));
+            return Err(JsonError::Syntax(format!("sends[{i}] must be an object")));
         };
         let src = o
             .get("src")
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"src\"")))
+            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"src\"")))
             .and_then(|v| as_u64(v, "src"))?;
         let dst = o
             .get("dst")
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"dst\"")))
+            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"dst\"")))
             .and_then(|v| as_u64(v, "dst"))?;
         let at = o
             .get("at")
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"at\"")))
+            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"at\"")))
             .and_then(|v| as_ratio(v, "at"))?;
         if src > u32::MAX as u64 || dst > u32::MAX as u64 {
-            return Err(JsonError(format!("sends[{i}]: endpoint out of range")));
+            return Err(JsonError::Syntax(format!(
+                "sends[{i}]: endpoint out of range"
+            )));
         }
         sends.push(TimedSend {
             src: src as u32,
@@ -354,6 +494,7 @@ pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
             send_start: Time(at),
         });
     }
+    check_times(latency, &sends)?;
     Ok(ScheduleFile {
         schedule: Schedule::new(n as u32, latency, sends),
         messages,
@@ -381,7 +522,7 @@ impl Scalar {
                 return Ok(x);
             }
         }
-        Err(JsonError(format!(
+        Err(JsonError::Syntax(format!(
             "\"{field}\" must be a nonnegative integer"
         )))
     }
@@ -391,11 +532,14 @@ impl Scalar {
             Scalar::Num(t) => t.as_str(),
             Scalar::Str(s) => s.as_str(),
             Scalar::Other => {
-                return Err(JsonError(format!("\"{field}\" must be a number or string")))
+                return Err(JsonError::Syntax(format!(
+                    "\"{field}\" must be a number or string"
+                )))
             }
         };
-        text.parse::<Ratio>()
-            .map_err(|_| JsonError(format!("\"{field}\": cannot parse {text:?} as a rational")))
+        text.parse::<Ratio>().map_err(|_| {
+            JsonError::Syntax(format!("\"{field}\": cannot parse {text:?} as a rational"))
+        })
     }
 }
 
@@ -413,14 +557,14 @@ impl<R: std::io::BufRead> StreamParser<R> {
     }
 
     fn err(&self, what: &str) -> JsonError {
-        JsonError(format!("{what} at byte {}", self.pos))
+        JsonError::Syntax(format!("{what} at byte {}", self.pos))
     }
 
     fn peek(&mut self) -> Result<Option<u8>, JsonError> {
         let buf = self
             .inner
             .fill_buf()
-            .map_err(|e| JsonError(format!("read error at byte {}: {e}", self.pos)))?;
+            .map_err(|e| JsonError::Syntax(format!("read error at byte {}: {e}", self.pos)))?;
         Ok(buf.first().copied())
     }
 
@@ -609,7 +753,7 @@ impl<R: std::io::BufRead> StreamParser<R> {
         self.skip_ws()?;
         if self.peek()? != Some(b'{') {
             self.skip_value()?;
-            return Err(JsonError(format!("sends[{i}] must be an object")));
+            return Err(JsonError::Syntax(format!("sends[{i}] must be an object")));
         }
         self.bump();
         let (mut src, mut dst, mut at) = (None, None, None);
@@ -640,16 +784,18 @@ impl<R: std::io::BufRead> StreamParser<R> {
             }
         }
         let src = src
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"src\"")))
+            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"src\"")))
             .and_then(|v| v.as_u64("src"))?;
         let dst = dst
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"dst\"")))
+            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"dst\"")))
             .and_then(|v| v.as_u64("dst"))?;
         let at = at
-            .ok_or_else(|| JsonError(format!("sends[{i}]: missing \"at\"")))
+            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"at\"")))
             .and_then(|v| v.as_ratio("at"))?;
         if src > u32::MAX as u64 || dst > u32::MAX as u64 {
-            return Err(JsonError(format!("sends[{i}]: endpoint out of range")));
+            return Err(JsonError::Syntax(format!(
+                "sends[{i}]: endpoint out of range"
+            )));
         }
         Ok(TimedSend {
             src: src as u32,
@@ -676,7 +822,7 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
         // Validate the stray value for a precise syntax error, then
         // report the shape problem the tree parser would.
         p.skip_value()?;
-        return Err(JsonError("top level must be an object".into()));
+        return Err(JsonError::Syntax("top level must be an object".into()));
     }
     p.bump();
 
@@ -747,16 +893,16 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
     }
 
     let n = n
-        .ok_or_else(|| JsonError("missing \"n\"".into()))
+        .ok_or_else(|| JsonError::Syntax("missing \"n\"".into()))
         .and_then(|v| v.as_u64("n"))?;
     if n == 0 || n > u32::MAX as u64 {
-        return Err(JsonError(format!("\"n\" out of range: {n}")));
+        return Err(JsonError::Syntax(format!("\"n\" out of range: {n}")));
     }
     let lam_ratio = lambda
-        .ok_or_else(|| JsonError("missing \"lambda\"".into()))
+        .ok_or_else(|| JsonError::Syntax("missing \"lambda\"".into()))
         .and_then(|v| v.as_ratio("lambda"))?;
-    let latency =
-        Latency::new(lam_ratio).map_err(|e| JsonError(format!("invalid \"lambda\": {e}")))?;
+    let latency = Latency::new(lam_ratio)
+        .map_err(|e| JsonError::Syntax(format!("invalid \"lambda\": {e}")))?;
     let messages = match messages {
         None => None,
         Some(v) => Some(v.as_u64("messages")?),
@@ -764,11 +910,12 @@ pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleF
     let topology = match topology {
         None => None,
         Some(Scalar::Str(s)) => Some(s),
-        Some(_) => return Err(JsonError("\"topology\" must be a string".into())),
+        Some(_) => return Err(JsonError::Syntax("\"topology\" must be a string".into())),
     };
     let Some(sends) = sends else {
-        return Err(JsonError("missing \"sends\" array".into()));
+        return Err(JsonError::Syntax("missing \"sends\" array".into()));
     };
+    check_times(latency, &sends)?;
     Ok(ScheduleFile {
         schedule: Schedule::new(n as u32, latency, sends),
         messages,
@@ -981,12 +1128,12 @@ mod tests {
             "{\"n\": 2, \"lambda\": 1, \"sends\": 3}",
         ))
         .unwrap_err();
-        assert_eq!(missing.0, "missing \"sends\" array");
+        assert_eq!(missing.to_string(), "missing \"sends\" array");
         let el = parse_schedule_reader(std::io::Cursor::new(
             "{\"n\": 2, \"lambda\": 1, \"sends\": [{\"dst\": 1, \"at\": 0}]}",
         ))
         .unwrap_err();
-        assert_eq!(el.0, "sends[0]: missing \"src\"");
+        assert_eq!(el.to_string(), "sends[0]: missing \"src\"");
     }
 
     #[test]

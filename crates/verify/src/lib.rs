@@ -166,9 +166,27 @@ pub fn jsonl_to_schedule_file<R: std::io::BufRead>(
     let mut parser = postal_obs::JsonlParser::new();
     let mut sends = Vec::new();
     let mut truncated = false;
-    for line in reader.lines() {
+    let mut lattice: Option<json::TimeLattice> = None;
+    for (i, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| ObsError(format!("read error: {e}")))?;
-        match parser.line(&line)? {
+        let event = parser.line(&line)?;
+        if lattice.is_none() {
+            if let Some(lam) = parser.meta().and_then(|m| m.lambda) {
+                lattice = Some(json::TimeLattice::new(lam).map_err(|e| ObsError(e.to_string()))?);
+            }
+        }
+        if let (Some(ev), Some(lattice)) = (&event, lattice.as_mut()) {
+            lattice.admit_event(ev).map_err(|t| {
+                ObsError(
+                    json::TimeRangeError {
+                        field: format!("line {}", i + 1),
+                        value: t.as_ratio(),
+                    }
+                    .to_string(),
+                )
+            })?;
+        }
+        match event {
             Some(postal_obs::ObsEvent::Send {
                 src, dst, start, ..
             }) => {

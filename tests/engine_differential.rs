@@ -1,16 +1,18 @@
 //! Differential harness pinning the fast calendar-queue engine to the
 //! seed binary-heap engine.
 //!
-//! [`Simulation::run`] (fast: `FastTime` fixed-point arithmetic, O(1)
-//! bucket queue, u32 processor ids) and [`Simulation::run_reference`]
+//! [`Simulation::run`] (fast: `i64` ticks on the run's tick lattice,
+//! O(1) bucket queue, u32 processor ids) and [`Simulation::run_reference`]
 //! (the original exact-`Ratio` engine, kept verbatim) must be
 //! *behaviorally indistinguishable*: same completion time, same trace
 //! (every transfer field, in the same order), same violations, same
 //! per-processor statistics, same per-port occupancy, and the same
 //! observability event stream — across every paper algorithm, both
-//! port-contention modes, fault plans, jittered latency, off-lattice λ
-//! (which routes the fast engine through its exact fallback), and
-//! event-budget truncation.
+//! port-contention modes, fault plans, jittered, hierarchical and
+//! time-varying latency, λ with denominators 3 and 5 (which move the
+//! fast engine off half-unit ticks), off-lattice wake-ups (which refine
+//! its lattice mid-run), and event-budget truncation. Uniform runs are
+//! also pinned to the time-stepped [`run_lockstep`] engine.
 //!
 //! Any future change to the fast path that shifts an event by half a
 //! tick, reorders a tie, or drops an observability record fails here
@@ -20,9 +22,11 @@ use postal::algos::dtree::dtree_programs;
 use postal::algos::pack::pack_programs;
 use postal::algos::pipeline::pipeline_programs;
 use postal::algos::repeat::repeat_programs;
-use postal::algos::{bcast_programs, Pacing};
-use postal::model::{runtimes, Latency, Time};
+use postal::algos::{bcast_programs, replay_programs, Pacing};
+use postal::model::schedule::{Schedule, TimedSend};
+use postal::model::{runtimes, Latency, TickScale, Time};
 use postal::sim::prelude::*;
+use postal::sim::run_lockstep;
 use postal::sim::SimError;
 use postal_obs::{MemoryRecorder, ObsEvent, RunMeta};
 
@@ -177,18 +181,20 @@ fn run_case(algo: &str, m: u32, lam: Latency, setup: &Setup) {
     }
 }
 
-fn lambdas() -> [Latency; 4] {
+fn lambdas() -> [Latency; 6] {
     [
         Latency::from_int(1),
         Latency::from_int(2),
         Latency::from_ratio(5, 2),
-        // Off the half-unit lattice: every event time takes the fast
-        // engine's exact-`Ratio` fallback.
+        // Off the half-unit lattice: the fast engine counts sixths and
+        // tenths of a unit.
         Latency::from_ratio(7, 3),
+        Latency::from_ratio(8, 3),
+        Latency::from_ratio(13, 5),
     ]
 }
 
-/// The full grid: 9 algorithms × n ≤ 64 × λ ∈ {1, 2, 5/2, 7/3} × m ≤ 4,
+/// The full grid: 9 algorithms × n ≤ 64 × λ ∈ {1, 2, 5/2, 7/3, 8/3, 13/5} × m ≤ 4,
 /// strict ports, no faults. BCAST ignores `m`, so it runs once per
 /// `(n, λ)`.
 #[test]
@@ -265,23 +271,199 @@ fn jittered_latency_matches_reference() {
     }
 }
 
-/// λ = 7/3 leaves the half-unit lattice entirely, so the fast engine's
-/// calendar never fires and every event rides the exact-`Ratio`
-/// fallback heap — the run must still be reference-identical (covered
-/// by the grid) and the latency really must be off-lattice (guarded
-/// here, so the grid cannot silently stop exercising the fallback).
+/// λ = 7/3 leaves the half-unit lattice entirely, so the fast engine
+/// runs on sixths of a unit (`D = lcm(2, 3)`) — the run must still be
+/// reference-identical (covered by the grid) and the latency really
+/// must be off the half-unit lattice (guarded here, so the grid cannot
+/// silently stop exercising the refined lattice).
 #[test]
-fn off_lattice_lambda_exercises_the_exact_fallback() {
+fn off_lattice_lambda_runs_on_a_refined_tick_lattice() {
     let lam = Latency::from_ratio(7, 3);
     assert_eq!(
-        lam.as_fast_time().as_half_units(),
+        TickScale::HALF.to_tick(lam.as_time()),
         None,
         "7/3 must be off the half-unit lattice"
     );
+    assert_eq!(TickScale::for_latency(lam).map(|s| s.den()), Some(6));
     let uni = Uniform(lam);
     let setup = Setup::strict(33, &uni);
     run_case("bcast", 1, lam, &setup);
     run_case("pipeline", 3, lam, &setup);
+}
+
+/// Asserts the fast engine and the time-stepped lockstep engine produce
+/// the same completion, violations and transfers. The lockstep engine
+/// may number same-instant sends differently, so transfers compare as
+/// sorted `(src, dst, send_start, arrival, recv_finish)` tuples.
+fn assert_lockstep_agrees<P, F>(label: &str, n: usize, lam: Latency, mk: F)
+where
+    P: Clone,
+    F: Fn() -> Vec<Box<dyn Program<P>>>,
+{
+    fn canon<P>(report: &RunReport<P>) -> Vec<(ProcId, ProcId, Time, Time, Time)> {
+        let mut v: Vec<_> = report
+            .trace
+            .transfers()
+            .iter()
+            .map(|t| (t.src, t.dst, t.send_start, t.arrival, t.recv_finish))
+            .collect();
+        v.sort();
+        v
+    }
+    let uni = Uniform(lam);
+    let fast = Simulation::new(n, &uni).run(mk()).expect(label);
+    let lock = run_lockstep(n, lam, mk(), 1_000_000).expect(label);
+    assert_eq!(
+        fast.completion, lock.completion,
+        "completion diverged: {label}"
+    );
+    assert_eq!(
+        fast.violations, lock.violations,
+        "violations diverged: {label}"
+    );
+    assert_eq!(canon(&fast), canon(&lock), "transfers diverged: {label}");
+}
+
+/// Denominators 3 and 5 put the fast engine on sixths and tenths of a
+/// unit; the lockstep engine walks the same λ lattice one tick at a
+/// time, by a structurally different method.
+#[test]
+fn rational_lambdas_match_lockstep() {
+    for lam in [
+        Latency::from_ratio(7, 3),
+        Latency::from_ratio(8, 3),
+        Latency::from_ratio(13, 5),
+    ] {
+        for n in [5usize, 33] {
+            let label = format!("n={n} lam={lam}");
+            assert_lockstep_agrees(&label, n, lam, || bcast_programs(n, lam));
+            assert_lockstep_agrees(&label, n, lam, || pipeline_programs(n, 3, lam));
+            assert_lockstep_agrees(&label, n, lam, || {
+                repeat_programs(n, 2, lam, Pacing::PaperExact)
+            });
+        }
+    }
+}
+
+/// Two latencies on different lattices in one run: 7/3 inside a
+/// cluster, 5/2 between clusters, so `D = lcm(2, 3, 2) = 6`.
+#[test]
+fn hierarchical_mixed_lattices_match_reference() {
+    let (local, remote) = (Latency::from_ratio(7, 3), Latency::from_ratio(5, 2));
+    for n in [8usize, 33] {
+        let model = Hierarchical::blocks(n, 4, local, remote);
+        assert_eq!(model.tick_denominator(), 6);
+        let setup = Setup::strict(n, &model);
+        for algo in ["bcast", "pipeline", "star", "binary"] {
+            run_case(algo, 2, remote, &setup);
+        }
+    }
+}
+
+/// λ steps from 2 to 8/3 partway through the run; the model declares
+/// the step's denominator up front, so the run starts on sixths.
+#[test]
+fn time_varying_thirds_step_matches_reference() {
+    for n in [8usize, 33] {
+        let model = TimeVarying::new(vec![
+            (Time::ZERO, Latency::from_int(2)),
+            (Time::from_int(3), Latency::from_ratio(8, 3)),
+        ]);
+        assert_eq!(model.tick_denominator(), 3);
+        let setup = Setup::strict(n, &model);
+        for algo in ["bcast", "pipeline", "repeat-greedy", "line"] {
+            run_case(algo, 2, Latency::from_int(2), &setup);
+        }
+    }
+}
+
+/// A replayed schedule whose send times no latency lattice holds: the
+/// wake-ups at 1/7 and 5/11 refine the lattice mid-run (from halves to
+/// fourteenths, then to 154ths), rescaling everything already queued.
+fn off_lattice_replay(lam: Latency) -> Schedule {
+    let at = Time::new;
+    let sends = [
+        (0, 1, at(0, 1)),
+        (0, 2, at(8, 7)),
+        (1, 3, at(9, 2)),
+        (2, 4, at(48, 11)),
+        (0, 5, at(16, 7)),
+        (3, 6, at(15, 2)),
+        (4, 7, at(113, 14)),
+    ];
+    Schedule::new(
+        8,
+        lam,
+        sends
+            .into_iter()
+            .map(|(src, dst, send_start)| TimedSend {
+                src,
+                dst,
+                send_start,
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn off_lattice_wakes_refine_the_lattice_and_match_reference() {
+    for lam in [Latency::from_int(2), Latency::from_ratio(7, 3)] {
+        let schedule = off_lattice_replay(lam);
+        let uni = Uniform(lam);
+        let (fast, _) = assert_engines_agree(
+            &format!("off-lattice replay lam={lam}"),
+            &Setup::strict(8, &uni),
+            || replay_programs(&schedule),
+        );
+        let wakes: Vec<Time> = fast
+            .iter()
+            .filter_map(|e| match *e {
+                ObsEvent::Wake { at, .. } => Some(at),
+                _ => None,
+            })
+            .collect();
+        assert!(wakes.contains(&Time::new(8, 7)), "{wakes:?}");
+        assert!(wakes.contains(&Time::new(48, 11)), "{wakes:?}");
+    }
+    // Crash times refine the lattice too.
+    let uni = Uniform(Latency::from_int(2));
+    let mut setup = Setup::strict(33, &uni);
+    setup.faults = FaultPlan::none().crashing(ProcId(5), Time::new(25, 7));
+    run_case("bcast", 1, Latency::from_int(2), &setup);
+}
+
+/// Times no `i64` tick can hold end the run with a typed error, never
+/// a panic or a wrapped tick: a wake-up beyond the tick range, and one
+/// whose denominator pushes the lattice past `i64`.
+#[test]
+fn tick_overflow_is_a_sim_error() {
+    let lam = Latency::from_int(2);
+    let uni = Uniform(lam);
+    for far in [
+        Time::from_int(i64::MAX as i128),
+        // An odd denominator above 2^62: twice it leaves the i64 range.
+        Time::new(1, 9_223_372_036_854_775_783),
+    ] {
+        let schedule = Schedule::new(
+            2,
+            lam,
+            vec![TimedSend {
+                src: 0,
+                dst: 1,
+                send_start: far,
+            }],
+        );
+        let got = Simulation::new(2, &uni).run(replay_programs(&schedule));
+        assert!(
+            matches!(got, Err(SimError::TickOverflow { .. })),
+            "{far:?}: {got:?}"
+        );
+    }
+    // A crash time the lattice cannot hold fails before any event.
+    let got = Simulation::new(2, &uni)
+        .faults(FaultPlan::none().crashing(ProcId(1), Time::new(1, i128::MAX)))
+        .run(bcast_programs(2, lam));
+    assert!(matches!(got, Err(SimError::TickOverflow { .. })), "{got:?}");
 }
 
 /// Hitting `max_events` must surface identically on both engines: the
