@@ -52,7 +52,7 @@
 //!
 //! ```
 //! use postal_abs::{analyze_algo, AbsConfig};
-//! use postal_mc::Algo;
+//! use postal_algos::registry::Algo;
 //! use postal_model::{Interval, Ratio};
 //!
 //! let report = analyze_algo(

@@ -15,7 +15,8 @@
 
 use crate::analyze::AbsConfig;
 use crate::workload::analyze_algo;
-use postal_mc::{check_algo, Algo, McConfig};
+use postal_algos::registry::Algo;
+use postal_mc::{check_algo, McConfig};
 use postal_model::{Interval, Latency, Time};
 
 /// The verdict of one abstract-vs-concrete comparison.

@@ -1,26 +1,22 @@
 //! Analysis entry points for the nine paper workloads.
 //!
-//! Mirrors `postal_mc::workload`: the same [`Algo`] grid, the same
+//! Mirrors `postal_mc::workload`: the same registry [`Algo`], the same
 //! program factories, but analyzed abstractly over a λ-range instead of
-//! model-checked at a point. Each family is held to its own proven
-//! envelope — BCAST to Theorem 6's `f_λ(n)`, REPEAT/PACK/PIPELINE to
-//! Lemmas 10–16, and the DTREE shapes to Lemma 18 — and every workload
-//! to the Lemma 8 lower bound `(m−1) + f_λ(n)`.
+//! model-checked at a point. Each family is held to the registry's
+//! proven envelope — BCAST to Theorem 6's `f_λ(n)`, REPEAT/PACK/PIPELINE
+//! to Lemmas 10–16, and the DTREE shapes to Lemma 18 — and every
+//! workload to the Lemma 8 lower bound `(m−1) + f_λ(n)`.
 
 use crate::analyze::{analyze, AbsConfig, AbsReport, TreeSpec, Workload};
 use crate::mutation::AbsMutation;
-use postal_algos::dtree::dtree_programs;
-use postal_algos::pack::pack_programs;
-use postal_algos::pipeline::pipeline_programs;
-use postal_algos::repeat::repeat_programs;
-use postal_algos::{bcast_programs, Pacing};
-use postal_mc::Algo;
-use postal_model::{runtimes, Interval, Latency, Time, Topology};
+use postal_algos::registry::{Algo, ProgramsVisitor};
+use postal_model::{Interval, Latency, Time, Topology};
+use postal_sim::Program;
 
 /// Abstractly analyzes one paper algorithm over the λ-range `lambda`.
 ///
 /// `Bcast` ignores `m` (it is the single-message algorithm); the tree
-/// shapes pick their degree from the variant exactly as
+/// shapes take the registry's degree rule, exactly as
 /// [`postal_mc::check_algo`] does, so the two analyses always see the
 /// same programs at any witness λ.
 pub fn analyze_algo(
@@ -49,123 +45,17 @@ pub fn analyze_algo_with_topology(
     topology: Option<&Topology>,
     cfg: &AbsConfig,
 ) -> AbsReport {
-    let nu = n as usize;
-    let nn = n as u128;
-    let m = m.max(1);
-    let eff_m = if algo == Algo::Bcast { 1 } else { m as u64 };
-    let clamp = move |d: u64| d.clamp(1, (n as u64).saturating_sub(1).max(1));
-
-    let general = GeneralSpec {
-        name: algo.name(),
+    let visitor = Analyze {
+        name: &algo.name(),
+        declared: algo,
         n,
-        m: eff_m,
+        m,
         lambda,
         mutation,
         topology,
-    };
-
-    match algo {
-        Algo::Bcast => general.analyze(cfg, &|lam| bcast_programs(nu, lam), &|lam| {
-            runtimes::bcast_time(nn, lam)
-        }),
-        Algo::Repeat => general.analyze(
-            cfg,
-            &|lam| repeat_programs(nu, m, lam, Pacing::PaperExact),
-            &|lam| runtimes::repeat_time(nn, m as u64, lam),
-        ),
-        Algo::RepeatGreedy => general.analyze(
-            cfg,
-            &|lam| repeat_programs(nu, m, lam, Pacing::Greedy),
-            &|lam| runtimes::repeat_time(nn, m as u64, lam),
-        ),
-        Algo::Pack => general.analyze(cfg, &|lam| pack_programs(nu, m, lam), &|lam| {
-            runtimes::pack_time(nn, m as u64, lam)
-        }),
-        Algo::Pipeline => general.analyze(cfg, &|lam| pipeline_programs(nu, m, lam), &|lam| {
-            runtimes::pipeline_time(nn, m as u64, lam)
-        }),
-        Algo::Line => analyze_tree(algo, n, m, lambda, mutation, topology, cfg, &move |_| {
-            clamp(1)
-        }),
-        Algo::Binary => analyze_tree(algo, n, m, lambda, mutation, topology, cfg, &move |_| {
-            clamp(2)
-        }),
-        Algo::Star => analyze_tree(algo, n, m, lambda, mutation, topology, cfg, &move |_| {
-            clamp(n as u64)
-        }),
-        Algo::Dtree => analyze_tree(algo, n, m, lambda, mutation, topology, cfg, &move |lam| {
-            clamp(runtimes::latency_matched_degree(nn, lam) as u64)
-        }),
-    }
-}
-
-/// Shared parameters of the non-tree workloads, with a generic analyze
-/// step (closures cannot be generic over the payload type).
-struct GeneralSpec<'a> {
-    name: &'a str,
-    n: u32,
-    m: u64,
-    lambda: Interval,
-    mutation: Option<AbsMutation>,
-    topology: Option<&'a Topology>,
-}
-
-impl GeneralSpec<'_> {
-    fn analyze<P>(
-        &self,
-        cfg: &AbsConfig,
-        factory: &dyn Fn(Latency) -> Vec<Box<dyn postal_sim::Program<P>>>,
-        envelope: &dyn Fn(Latency) -> Time,
-    ) -> AbsReport {
-        analyze(
-            &Workload {
-                name: self.name,
-                n: self.n,
-                m: self.m,
-                factory,
-                envelope: Some(envelope),
-                tree: None,
-                mutation: self.mutation,
-                topology: self.topology,
-            },
-            self.lambda,
-            cfg,
-        )
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn analyze_tree(
-    algo: Algo,
-    n: u32,
-    m: u32,
-    lambda: Interval,
-    mutation: Option<AbsMutation>,
-    topology: Option<&Topology>,
-    cfg: &AbsConfig,
-    degree: &dyn Fn(Latency) -> u64,
-) -> AbsReport {
-    let nu = n as usize;
-    let nn = n as u128;
-    let factory = |lam: Latency| dtree_programs(nu, m, degree(lam));
-    let bound = |lam: Latency| runtimes::dtree_time_bound(nn, m as u64, lam, degree(lam) as u128);
-    analyze(
-        &Workload {
-            name: algo.name(),
-            n,
-            m: m as u64,
-            factory: &factory,
-            envelope: None,
-            tree: Some(TreeSpec {
-                degree,
-                bound: &bound,
-            }),
-            mutation,
-            topology,
-        },
-        lambda,
         cfg,
-    )
+    };
+    algo.programs(n as usize, m, visitor)
 }
 
 /// The workload-level `P0015` defect: builds a binary tree (`d = 2`)
@@ -176,31 +66,58 @@ pub fn analyze_dtree_inflated(n: u32, m: u32, lambda: Interval, cfg: &AbsConfig)
         n >= 3,
         "an inflated-degree tree needs at least 3 processors"
     );
-    let nu = n as usize;
-    let nn = n as u128;
-    let factory = |lam: Latency| {
-        let _ = lam;
-        dtree_programs(nu, m, 2)
+    let visitor = Analyze {
+        name: "dtree-inflated",
+        declared: Algo::Line,
+        n,
+        m,
+        lambda,
+        mutation: None,
+        topology: None,
+        cfg,
     };
-    let degree = |_: Latency| 1u64;
-    let bound = |lam: Latency| runtimes::dtree_time_bound(nn, m.max(1) as u64, lam, 1);
-    analyze(
-        &Workload {
-            name: "dtree-inflated",
-            n,
-            m: m.max(1) as u64,
-            factory: &factory,
-            envelope: None,
-            tree: Some(TreeSpec {
+    Algo::Binary.programs(n as usize, m, visitor)
+}
+
+/// Analyzes the programs it is handed against the registry contract of
+/// `declared`: its `m` rule, and its envelope (non-tree) or its degree
+/// and Lemma 18 bound (tree shapes).
+struct Analyze<'a> {
+    name: &'a str,
+    declared: Algo,
+    n: u32,
+    m: u32,
+    lambda: Interval,
+    mutation: Option<AbsMutation>,
+    topology: Option<&'a Topology>,
+    cfg: &'a AbsConfig,
+}
+
+impl ProgramsVisitor for Analyze<'_> {
+    type Output = AbsReport;
+    fn visit<P: Clone + 'static>(
+        self,
+        factory: &dyn Fn(Latency) -> Vec<Box<dyn Program<P>>>,
+    ) -> AbsReport {
+        let (algo, nu) = (self.declared, self.n as usize);
+        let bound = |lam| algo.envelope(nu, self.m, lam).bound;
+        let degree = |lam| algo.degree(nu, lam).expect("a tree shape has a degree");
+        let tree = algo.is_tree();
+        let workload = Workload {
+            name: self.name,
+            n: self.n,
+            m: u64::from(algo.messages(self.m)),
+            factory,
+            envelope: (!tree).then_some(&bound as &dyn Fn(Latency) -> Time),
+            tree: tree.then_some(TreeSpec {
                 degree: &degree,
                 bound: &bound,
             }),
-            mutation: None,
-            topology: None,
-        },
-        lambda,
-        cfg,
-    )
+            mutation: self.mutation,
+            topology: self.topology,
+        };
+        analyze(&workload, self.lambda, self.cfg)
+    }
 }
 
 #[cfg(test)]

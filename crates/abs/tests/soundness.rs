@@ -14,7 +14,7 @@ use postal_abs::{
     analyze_algo, analyze_dtree_inflated, cross_check_point, cross_check_range, AbsConfig,
     AbsMutation,
 };
-use postal_mc::Algo;
+use postal_algos::registry::Algo;
 use postal_model::lint::LintCode;
 use postal_model::{Interval, Latency, Ratio, Time};
 

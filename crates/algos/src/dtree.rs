@@ -139,31 +139,6 @@ pub fn run_dtree(n: usize, m: u32, latency: Latency, d: u64) -> MultiReport {
     run_multi(n, m, latency, dtree_programs(n, m, d))
 }
 
-/// DTREE(1): the LINE algorithm (near-optimal as `m → ∞`).
-pub fn run_line(n: usize, m: u32, latency: Latency) -> MultiReport {
-    run_dtree(n, m, latency, 1)
-}
-
-/// DTREE(2): the BINARY algorithm (constant-factor for fixed λ).
-pub fn run_binary(n: usize, m: u32, latency: Latency) -> MultiReport {
-    run_dtree(n, m, latency, 2)
-}
-
-/// DTREE(n−1): the STAR algorithm (near-optimal as `λ → ∞`).
-///
-/// # Panics
-/// Panics if `n < 2`.
-pub fn run_star(n: usize, m: u32, latency: Latency) -> MultiReport {
-    assert!(n >= 2, "a star needs at least one leaf");
-    run_dtree(n, m, latency, n as u64 - 1)
-}
-
-/// DTREE(⌈λ⌉+1): the paper's latency-matched degree (Section 4.3).
-pub fn run_latency_matched(n: usize, m: u32, latency: Latency) -> MultiReport {
-    let d = postal_model::runtimes::latency_matched_degree(n as u128, latency) as u64;
-    run_dtree(n, m, latency, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +193,7 @@ mod tests {
         for lam in [Latency::TELEPHONE, Latency::from_ratio(5, 2)] {
             for n in [2usize, 5, 17] {
                 for m in [1u32, 4, 9] {
-                    let r = run_line(n, m, lam);
+                    let r = run_dtree(n, m, lam, 1);
                     r.verify().unwrap();
                     assert_eq!(
                         r.completion(),
@@ -235,7 +210,7 @@ mod tests {
         for lam in [Latency::TELEPHONE, Latency::from_ratio(5, 2)] {
             for n in [2usize, 5, 17] {
                 for m in [1u32, 4, 9] {
-                    let r = run_star(n, m, lam);
+                    let r = run_dtree(n, m, lam, n as u64 - 1);
                     r.verify().unwrap();
                     assert_eq!(
                         r.completion(),
@@ -253,7 +228,7 @@ mod tests {
         // at 2, 3; they forward at 2, 3 and 3, 4 → the rightmost leaf p6
         // receives at 4 + λ = 6. The Lemma 18 bound gives
         // (d−1+λ)·⌈log₂ 7⌉ = 3·3 = 9 ≥ 6.
-        let r = run_binary(7, 1, Latency::from_int(2));
+        let r = run_dtree(7, 1, Latency::from_int(2), 2);
         r.verify().unwrap();
         assert_eq!(r.completion(), Time::from_int(6));
     }
@@ -263,7 +238,7 @@ mod tests {
         // d = 1 near-optimal when m → ∞ with n, λ fixed.
         let lam = Latency::from_int(2);
         let (n, m) = (8usize, 64u32);
-        let line = run_line(n, m, lam).completion();
+        let line = run_dtree(n, m, lam, 1).completion();
         for d in [2u64, 3, 7] {
             let other = run_dtree(n, m, lam, d).completion();
             assert!(line <= other, "line {line} vs d={d} {other}");
@@ -275,7 +250,7 @@ mod tests {
         // d = n−1 near-optimal when λ → ∞ with n, m fixed.
         let lam = Latency::from_int(64);
         let (n, m) = (8usize, 2u32);
-        let star = run_star(n, m, lam).completion();
+        let star = run_dtree(n, m, lam, n as u64 - 1).completion();
         for d in [1u64, 2, 3] {
             let other = run_dtree(n, m, lam, d).completion();
             assert!(star <= other, "star {star} vs d={d} {other}");
@@ -289,7 +264,8 @@ mod tests {
             Latency::from_ratio(5, 2),
             Latency::from_int(6),
         ] {
-            let r = run_latency_matched(30, 4, lam);
+            let d = runtimes::latency_matched_degree(30, lam) as u64;
+            let r = run_dtree(30, 4, lam, d);
             r.verify().unwrap();
         }
     }

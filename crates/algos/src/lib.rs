@@ -25,6 +25,9 @@
 //! * [`multi`] — the shared packet type and broadcast verification
 //!   (completeness + the paper's order-preservation property).
 //!
+//! [`registry`] names the whole family in one table: spelling, `m`
+//! rule, tree degree, proven envelope and program factory.
+//!
 //! ## Section 5 extensions (the paper's "further research")
 //!
 //! * [`ext::adaptive`] — broadcast under time-varying λ;
@@ -48,15 +51,14 @@ pub mod flood;
 pub mod multi;
 pub mod pack;
 pub mod pipeline;
+pub mod registry;
 pub mod repeat;
 pub mod replay;
 pub mod svg;
 
 pub use bcast::{bcast_programs, bcast_programs_from, run_bcast, run_bcast_from, BcastProgram};
 pub use cascade::{cascade, CascadeSend, Orientation};
-pub use dtree::{
-    dtree_exact_time, run_binary, run_dtree, run_latency_matched, run_line, run_star, DtreeProgram,
-};
+pub use dtree::{dtree_exact_time, run_dtree, DtreeProgram};
 pub use fib_tree::{BroadcastTree, TreeNode};
 pub use flood::{flood_schedule, FloodOutcome};
 pub use multi::{BroadcastDefect, MultiPacket, MultiReport};

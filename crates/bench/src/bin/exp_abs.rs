@@ -9,9 +9,9 @@
 //! analysis produces zero.
 
 use postal_abs::{analyze_algo, cross_check_point, AbsConfig};
+use postal_algos::registry::Algo;
 use postal_bench::report::BenchReport;
 use postal_bench::table::Table;
-use postal_mc::Algo;
 use postal_model::{Interval, Latency, Ratio};
 use std::time::Instant;
 
@@ -35,7 +35,7 @@ fn main() {
             (8, Latency::from_ratio(5, 2)),
             (12, Latency::from_int(2)),
         ] {
-            let m = if algo == Algo::Bcast { 1 } else { 2 };
+            let m = algo.messages(2);
             // cross_check_point times the model checker and the point
             // analysis together; time each side separately for the table.
             let t0 = Instant::now();
@@ -79,7 +79,7 @@ fn main() {
     let mut sweep_widened = 0i128;
     let t2 = Instant::now();
     for algo in Algo::all() {
-        let m = if algo == Algo::Bcast { 1 } else { 2 };
+        let m = algo.messages(2);
         let rep = analyze_algo(algo, 8, m, range, None, &cfg);
         assert!(rep.is_clean(), "{algo} dirty over [1, 4]");
         let widened = rep.subintervals.iter().filter(|s| !s.exact).count();

@@ -7,9 +7,10 @@
 //! conflict-free, so every row must collapse to a single execution —
 //! the table quantifies how much enumeration that forcedness saves.
 
+use postal_algos::registry::Algo;
 use postal_bench::report::BenchReport;
 use postal_bench::table::Table;
-use postal_mc::{check_algo, Algo, McConfig};
+use postal_mc::{check_algo, McConfig};
 use postal_model::Latency;
 
 fn main() {
@@ -38,7 +39,7 @@ fn main() {
             (8, Latency::from_ratio(5, 2)),
             (12, Latency::from_int(2)),
         ] {
-            let m = if algo == Algo::Bcast { 1 } else { 2 };
+            let m = algo.messages(2);
             let rep = check_algo(algo, n, m, lam, None, &cfg);
             total_explored += rep.stats.executions as i128;
             total_naive += rep.stats.naive_interleavings;

@@ -3,16 +3,16 @@
 //! All logic lives in this library so it is unit-testable; `main.rs` is
 //! a thin shim. Argument parsing is hand-rolled (three positional
 //! arguments per subcommand at most — a dependency would be heavier than
-//! the code).
+//! the code): every subcommand splits its arguments with one shared
+//! flag parser, and every broadcast algorithm comes from
+//! [`postal_algos::registry`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use postal_algos::ext::{combine, gossip, scatter};
-use postal_algos::{
-    run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, run_repeat_greedy, tree_to_svg,
-    BroadcastTree, SvgOptions, ToSchedule,
-};
+use postal_algos::registry::{Algo, ProgramsVisitor};
+use postal_algos::{run_bcast, tree_to_svg, BroadcastTree, SvgOptions, ToSchedule};
 use postal_bench::optimal::{optimal_multi_broadcast_with, OrderPolicy, SearchResult};
 use postal_model::{runtimes, GenFib, Latency, Time};
 use postal_obs::{
@@ -20,8 +20,10 @@ use postal_obs::{
     SampleSpec,
 };
 use postal_sim::gantt::render_gantt;
-use postal_sim::{log_from_report, RunReport};
+use postal_sim::{log_from_report, Program, RunReport, SimError, Simulation, Uniform};
+use postal_verify::{Diagnostic, Severity};
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 
 /// CLI failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +47,8 @@ USAGE:
     postal plan <n> <m> <lambda>             compare all algorithms, recommend one
     postal simulate <algo> <n> <m> <lambda>  run one algorithm on the simulator
                                              (algo: bcast|repeat|repeat-greedy|pack|
-                                              pipeline|line|binary|star|dtree:<d>|
-                                              combine|gossip|scatter)
+                                              pipeline|line|binary|star|dtree|
+                                              dtree:<d>|combine|gossip|scatter)
            [--trace-out FILE]                export Chrome trace JSON (Perfetto/about:tracing)
            [--events-out FILE]               export JSONL event log (re-lintable: postal lint)
            [--metrics-out FILE]              export Prometheus text exposition
@@ -91,11 +93,15 @@ USAGE:
                                              model-check every interleaving (DPOR):
                                              codes P0008-P0011 over the whole state
                                              space, plus a re-lint of each execution
+                                             (name: bcast|repeat|repeat-greedy|pack|
+                                              pipeline|line|binary|star|dtree|dtree:<d>)
            [--m N] [--max-interleavings N] [--format text|json] [--deny warn|error]
     postal analyze --algo <name|all> --n N --lambda-range A..B
                                              abstract interpretation over the whole
                                              λ-range: codes P0012-P0016, each with a
                                              witness λ sub-interval
+                                             (name: bcast|repeat|repeat-greedy|pack|
+                                              pipeline|line|binary|star|dtree|dtree:<d>)
            [--m N] [--max-depth N] [--format text|json] [--deny warn|error]
            [--topology SPEC]                 analyze against a sparse communication
                                              graph: processors the graph cuts off from
@@ -109,6 +115,10 @@ EXIT STATUS:
        or lint/check/analyze found diagnostics at the --deny level; with
        --format json the report goes to stdout, otherwise to stderr
     2  usage error";
+
+fn usage() -> CliError {
+    CliError::Usage(USAGE.to_string())
+}
 
 /// Whether `args` ask for machine-readable output (`--format json`). A
 /// failing command's JSON report then belongs on stdout, where a
@@ -124,8 +134,8 @@ pub fn wants_json(args: &[String]) -> bool {
 /// [`CliError::Usage`] for malformed invocations, [`CliError::Invalid`]
 /// for well-formed but meaningless ones.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let usage = || CliError::Usage(USAGE.to_string());
-    match args.first().map(String::as_str) {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.first().copied() {
         Some("tree") => {
             let (n, lam) = parse_n_lambda(&args[1..])?;
             let tree = BroadcastTree::build(n as u64, lam);
@@ -219,17 +229,21 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let (n, m, lam) = parse_n_m_lambda(&args[1..])?;
             Ok(plan(n as u128, m as u64, lam))
         }
-        Some("simulate") => {
-            let (pos, opts) = split_output_flags(&args[1..])?;
+        Some(cmd @ ("simulate" | "stats")) => {
+            let (pos, opts) = output_flags(cmd, &args[1..])?;
             let (algo, rest) = pos.split_first().ok_or_else(usage)?;
             let (n, m, lam) = parse_n_m_lambda(rest)?;
-            simulate(algo, n, m, lam, &opts)
-        }
-        Some("stats") => {
-            let (pos, opts) = split_output_flags(&args[1..])?;
-            let (algo, rest) = pos.split_first().ok_or_else(usage)?;
-            let (n, m, lam) = parse_n_m_lambda(rest)?;
-            stats(algo, n, m, lam, &opts)
+            let workload = Workload::parse(algo)?;
+            // A broadcast carries the registry's message count.
+            let m = match workload {
+                Workload::Broadcast(algo) => algo.messages(m),
+                _ => m,
+            };
+            if cmd == "simulate" {
+                simulate(algo, workload, n, m, lam, &opts)
+            } else {
+                stats(algo, workload, n, m, lam, &opts)
+            }
         }
         Some("lint") => lint(&args[1..]),
         Some("check") => check(&args[1..]),
@@ -238,79 +252,19 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn lint(args: &[String]) -> Result<String, CliError> {
-    use postal_verify::{json, lint_schedule, LintOptions, Severity};
-    let mut file: Option<&str> = None;
-    let mut deny = Severity::Error;
-    let mut as_json = false;
-    let mut m_override: Option<u64> = None;
-    let mut stream_mode = false;
-    let mut topology_arg: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag_value = |i: usize| {
-            args.get(i + 1)
-                .map(String::as_str)
-                .ok_or_else(|| CliError::Invalid(format!("{} needs a value", args[i])))
-        };
-        match args[i].as_str() {
-            "--deny" => {
-                deny = match flag_value(i)? {
-                    "warn" => Severity::Warn,
-                    "error" => Severity::Error,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--deny must be 'warn' or 'error', got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            "--format" => {
-                as_json = match flag_value(i)? {
-                    "json" => true,
-                    "text" => false,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--format must be 'text' or 'json', got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            "--m" => {
-                let m: u64 = flag_value(i)?
-                    .parse()
-                    .map_err(|_| CliError::Invalid("--m must be a positive integer".into()))?;
-                if m == 0 {
-                    return Err(CliError::Invalid("--m must be ≥ 1".into()));
-                }
-                m_override = Some(m);
-                i += 2;
-            }
-            "--stream" => {
-                stream_mode = true;
-                i += 1;
-            }
-            "--topology" => {
-                topology_arg = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            s if s.starts_with('-') => {
-                return Err(CliError::Invalid(format!("unknown lint flag {s:?}")));
-            }
-            s if file.is_none() => {
-                file = Some(s);
-                i += 1;
-            }
-            s => {
-                return Err(CliError::Invalid(format!(
-                    "unexpected extra argument {s:?}"
-                )));
-            }
-        }
-    }
-    let path = file.ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
+fn lint(args: &[&str]) -> Result<String, CliError> {
+    use postal_verify::{json, lint_schedule, LintOptions};
+    let flags = Flags::parse("lint", args, "--deny= --format= --m= --topology= --stream")?;
+    let deny = flags.get("--deny", parse_deny)?.unwrap_or(Severity::Error);
+    let as_json = flags.get("--format", parse_format)?.unwrap_or(false);
+    let m_override = flags.get("--m", |v| parse_count("--m", v, 1..=u64::MAX))?;
+    let topology_arg = flags.get("--topology", Ok)?;
+    let stream_mode = flags.has("--stream");
+    let path = match flags.positionals[..] {
+        [path] => path,
+        [] => return Err(usage()),
+        [_, extra, ..] => return Err(unexpected(extra)),
+    };
     // Stream the file instead of reading it into memory: million-send
     // schedules lint without ever materializing the trace text. The
     // first content line is read eagerly to sniff the format — an
@@ -319,58 +273,48 @@ fn lint(args: &[String]) -> Result<String, CliError> {
     use std::io::{Cursor, Read as _};
     let (first_line, reader) = open_sniffed(path)?;
     let is_jsonl = first_line.contains("\"type\":\"run\"");
-    if stream_mode {
-        return lint_streaming(
-            path,
-            first_line,
-            reader,
-            is_jsonl,
-            m_override,
-            topology_arg,
-            deny,
-            as_json,
-        );
-    }
+    let input = Cursor::new(first_line).chain(reader);
     let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(format!("{path}: {e}"));
-    let parsed = if is_jsonl {
-        postal_verify::jsonl_to_schedule_file(Cursor::new(first_line).chain(reader))
-            .map_err(|e| invalid(&e))?
-    } else {
-        json::parse_schedule_reader(Cursor::new(first_line).chain(reader))
-            .map_err(|e| invalid(&e))?
-    };
-    let dropped = parsed.dropped_events.unwrap_or(0);
-    let truncated = parsed.truncated;
-    // The flag wins; a schedule file's own "topology" field is the default.
-    let topo_spec = topology_arg.or(parsed.topology.clone());
-    let (schedule, file_messages) = (parsed.schedule, parsed.messages);
-    let messages = m_override.or(file_messages).unwrap_or(1);
-    let opts_l = LintOptions::broadcast_of(messages);
-    let raw = match &topo_spec {
-        Some(spec) => {
-            let topo = parse_topology(spec, schedule.n())?;
-            postal_verify::lint_schedule_with_topology(&schedule, &opts_l, &topo)
+    let (raw, facts) = if stream_mode {
+        if !is_jsonl {
+            return Err(invalid(
+                &"--stream needs an observability JSONL event log \
+                  (\"type\":\"run\" header); schedule JSON is linted whole — drop --stream",
+            ));
         }
-        None => lint_schedule(&schedule, &opts_l),
-    };
-    let diags = postal_verify::downgrade_truncated_trace(
-        postal_verify::downgrade_partial_trace(raw, dropped),
-        truncated,
-    );
-    lint_outcome(
-        path,
-        &diags,
-        LintFacts {
+        lint_streaming(input, m_override, topology_arg, &invalid)?
+    } else {
+        let parsed = if is_jsonl {
+            postal_verify::jsonl_to_schedule_file(input).map_err(|e| invalid(&e))?
+        } else {
+            json::parse_schedule_reader(input).map_err(|e| invalid(&e))?
+        };
+        let schedule = &parsed.schedule;
+        let messages = m_override.or(parsed.messages).unwrap_or(1);
+        let opts_l = LintOptions::broadcast_of(messages);
+        // The flag wins; a schedule file's own "topology" field is the default.
+        let raw = match topology_arg.or(parsed.topology.as_deref()) {
+            Some(spec) => {
+                let topo = parse_topology(spec, schedule.n())?;
+                postal_verify::lint_schedule_with_topology(schedule, &opts_l, &topo)
+            }
+            None => lint_schedule(schedule, &opts_l),
+        };
+        let facts = LintFacts {
             n: schedule.n(),
             latency: schedule.latency(),
             completion: schedule.completion(),
             messages,
-            dropped,
-            truncated,
-        },
-        as_json,
-        deny,
-    )
+            dropped: parsed.dropped_events.unwrap_or(0),
+            truncated: parsed.truncated,
+        };
+        (raw, facts)
+    };
+    let diags = postal_verify::downgrade_truncated_trace(
+        postal_verify::downgrade_partial_trace(raw, facts.dropped),
+        facts.truncated,
+    );
+    lint_outcome(path, &diags, facts, as_json, deny)
 }
 
 /// Opens `path` for lint-format sniffing: skips a UTF-8 byte-order mark
@@ -431,10 +375,10 @@ fn lint_note(path: &str, dropped: u64, truncated: bool) -> Option<String> {
 /// their output is byte-identical — and applies the `--deny` gate.
 fn lint_outcome(
     path: &str,
-    diags: &[postal_verify::Diagnostic],
+    diags: &[Diagnostic],
     facts: LintFacts,
     as_json: bool,
-    deny: postal_verify::Severity,
+    deny: Severity,
 ) -> Result<String, CliError> {
     use postal_verify::{json, render};
     let note = lint_note(path, facts.dropped, facts.truncated);
@@ -466,29 +410,16 @@ fn lint_outcome(
 
 /// The `lint --stream` path: folds a JSONL event log through the
 /// streaming lint engine line by line — O(n) linter memory, no
-/// materialized schedule — and renders the exact batch report.
-#[allow(clippy::too_many_arguments)]
+/// materialized schedule — into the exact batch findings.
 fn lint_streaming(
-    path: &str,
-    first_line: String,
-    reader: std::io::BufReader<std::fs::File>,
-    is_jsonl: bool,
+    input: impl std::io::BufRead,
     m_override: Option<u64>,
-    topology_arg: Option<String>,
-    deny: postal_verify::Severity,
-    as_json: bool,
-) -> Result<String, CliError> {
+    topology_arg: Option<&str>,
+    invalid: &dyn Fn(&dyn std::fmt::Display) -> CliError,
+) -> Result<(Vec<Diagnostic>, LintFacts), CliError> {
     use postal_obs::{JsonlParser, LintStream, StreamOrdering};
     use postal_verify::json::{TimeLattice, TimeRangeError};
     use postal_verify::LintOptions;
-    use std::io::{BufRead as _, Cursor, Read as _};
-    if !is_jsonl {
-        return Err(CliError::Invalid(format!(
-            "{path}: --stream needs an observability JSONL event log \
-             (\"type\":\"run\" header); schedule JSON is linted whole — drop --stream"
-        )));
-    }
-    let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(format!("{path}: {e}"));
     let mut parser = JsonlParser::new();
     // Built once the header line has been parsed; `Live` ordering is
     // sound for both orders a log is written in — live emission order
@@ -499,7 +430,7 @@ fn lint_streaming(
     let mut header: Option<(u32, Latency, u64, u64)> = None;
     // Every time the linter compares must share one tick lattice with λ.
     let mut lattice: Option<TimeLattice> = None;
-    for (i, line) in Cursor::new(first_line).chain(reader).lines().enumerate() {
+    for (i, line) in input.lines().enumerate() {
         let line = line.map_err(|e| invalid(&e))?;
         let event = parser.line(&line).map_err(|e| invalid(&e))?;
         if stream.is_none() {
@@ -542,116 +473,50 @@ fn lint_streaming(
         .zip(header)
         .ok_or_else(|| invalid(&"empty log: no \"run\" header"))?;
     if stream.out_of_order() {
-        return Err(CliError::Invalid(format!(
-            "{path}: a send appears after later events already passed its start time; \
-             the log is out of order — lint without --stream instead"
-        )));
+        return Err(invalid(
+            &"a send appears after later events already passed its start time; \
+              the log is out of order — lint without --stream instead",
+        ));
     }
-    let truncated = stream.truncated();
-    let completion = stream.completion();
-    let diags = postal_verify::downgrade_truncated_trace(
-        postal_verify::downgrade_partial_trace(stream.finish(), dropped),
-        truncated,
-    );
-    lint_outcome(
-        path,
-        &diags,
-        LintFacts {
-            n,
-            latency,
-            completion,
-            messages,
-            dropped,
-            truncated,
-        },
-        as_json,
-        deny,
-    )
+    let facts = LintFacts {
+        n,
+        latency,
+        completion: stream.completion(),
+        messages,
+        dropped,
+        truncated: stream.truncated(),
+    };
+    Ok((stream.finish(), facts))
 }
 
 /// The `check` subcommand: model-check one (or every) paper algorithm.
-fn check(args: &[String]) -> Result<String, CliError> {
-    use postal_mc::{check_algo, Algo, McConfig};
-    use postal_verify::{render, Severity};
-    let mut algo_arg: Option<String> = None;
-    let mut n: Option<usize> = None;
-    let mut lam: Option<Latency> = None;
-    let mut m: u32 = 1;
+fn check(args: &[&str]) -> Result<String, CliError> {
+    use postal_mc::{check_algo, McConfig};
+    let flags = Flags::parse(
+        "check",
+        args,
+        "--algo= --n= --lambda= --m= --max-interleavings= --format= --deny=",
+    )?;
+    let algo_arg = flags.get("--algo", Ok)?;
+    let n = flags.get("--n", parse_n)?;
+    let lam = flags.get("--lambda", parse_lambda)?;
+    let m = flags
+        .get("--m", |v| parse_count("--m", v, 1..=64))?
+        .unwrap_or(1) as u32;
     let mut cfg = McConfig::default();
-    let mut as_json = false;
-    let mut deny = Severity::Error;
-    let mut i = 0;
-    while i < args.len() {
-        let flag_value = |i: usize| {
-            args.get(i + 1)
-                .map(String::as_str)
-                .ok_or_else(|| CliError::Invalid(format!("{} needs a value", args[i])))
-        };
-        match args[i].as_str() {
-            "--algo" => {
-                algo_arg = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            "--n" => {
-                n = Some(parse_n(flag_value(i)?)?);
-                i += 2;
-            }
-            "--lambda" => {
-                lam = Some(parse_lambda(flag_value(i)?)?);
-                i += 2;
-            }
-            "--m" => {
-                let v: u32 = flag_value(i)?
-                    .parse()
-                    .map_err(|_| CliError::Invalid("--m must be a positive integer".into()))?;
-                if v == 0 || v > 64 {
-                    return Err(CliError::Invalid("--m must be in 1..=64".into()));
-                }
-                m = v;
-                i += 2;
-            }
-            "--max-interleavings" => {
-                cfg.max_interleavings = flag_value(i)?.parse().map_err(|_| {
-                    CliError::Invalid("--max-interleavings must be a positive integer".into())
-                })?;
-                if cfg.max_interleavings == 0 {
-                    return Err(CliError::Invalid("--max-interleavings must be ≥ 1".into()));
-                }
-                i += 2;
-            }
-            "--format" => {
-                as_json = match flag_value(i)? {
-                    "json" => true,
-                    "text" => false,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--format must be 'text' or 'json', got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            "--deny" => {
-                deny = match flag_value(i)? {
-                    "warn" => Severity::Warn,
-                    "error" => Severity::Error,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--deny must be 'warn' or 'error', got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            s => {
-                return Err(CliError::Invalid(format!("unknown check flag {s:?}")));
-            }
-        }
+    if let Some(k) = flags.get("--max-interleavings", |v| {
+        parse_count("--max-interleavings", v, 1..=u64::MAX)
+    })? {
+        cfg.max_interleavings = k;
     }
-    let usage = || CliError::Usage(USAGE.to_string());
-    let algo_arg = algo_arg.ok_or_else(usage)?;
-    let n = n.ok_or_else(usage)?;
-    let lam = lam.ok_or_else(usage)?;
+    let as_json = flags.get("--format", parse_format)?.unwrap_or(false);
+    let deny = flags.get("--deny", parse_deny)?.unwrap_or(Severity::Error);
+    flags.no_positionals()?;
+    let (algo_arg, n, lam) = (
+        algo_arg.ok_or_else(usage)?,
+        n.ok_or_else(usage)?,
+        lam.ok_or_else(usage)?,
+    );
     // Exhaustive exploration replays prefixes from scratch; keep the
     // state space honest rather than silently bounding it away.
     if n > 64 {
@@ -659,30 +524,10 @@ fn check(args: &[String]) -> Result<String, CliError> {
             "model checking is exhaustive; use n ≤ 64 (the paper grid uses n ≤ 12)".into(),
         ));
     }
-    let algos: Vec<Algo> = if algo_arg == "all" {
-        Algo::all().to_vec()
-    } else {
-        vec![Algo::parse(&algo_arg).ok_or_else(|| {
-            CliError::Invalid(format!(
-                "unknown algorithm {algo_arg:?} (bcast|repeat|repeat-greedy|pack|\
-                 pipeline|line|binary|star|dtree|all)"
-            ))
-        })?]
-    };
-
-    let mut out = String::new();
-    let mut failed = false;
-    if as_json {
-        out.push_str("[\n");
-    }
-    for (idx, algo) in algos.iter().enumerate() {
-        let rep = check_algo(*algo, n as u32, m, lam, None, &cfg);
-        failed |= rep.diagnostics.iter().any(|d| d.severity >= deny);
-        if as_json {
-            if idx > 0 {
-                out.push_str(",\n");
-            }
-            let _ = writeln!(out, "{{");
+    let reports = parse_algos(algo_arg)?.into_iter().map(|algo| {
+        let rep = check_algo(algo, n as u32, m, lam, None, &cfg);
+        let body = if as_json {
+            let mut out = String::new();
             let _ = writeln!(out, "  \"algo\": \"{}\",", rep.name);
             let _ = writeln!(out, "  \"n\": {},", rep.n);
             let _ = writeln!(out, "  \"m\": {},", rep.m);
@@ -711,126 +556,56 @@ fn check(args: &[String]) -> Result<String, CliError> {
                 rep.reference_completion
             );
             let _ = writeln!(out, "  \"races\": {},", rep.races);
-            let _ = writeln!(
-                out,
-                "  \"diagnostics\": {}",
-                postal_verify::json::diagnostics_to_json(&rep.diagnostics).trim_end()
-            );
-            out.push('}');
+            out
         } else {
-            out.push_str(&rep.summary());
-            if rep.is_clean() {
-                out.push_str("  verdict               clean\n");
-            } else {
-                out.push('\n');
-                out.push_str(&render::render_report(&rep.diagnostics, &rep.name));
-            }
-            if idx + 1 < algos.len() {
-                out.push('\n');
-            }
+            rep.summary()
+        };
+        AlgoReport {
+            name: rep.name,
+            body,
+            diagnostics: rep.diagnostics,
         }
-    }
-    if as_json {
-        out.push_str("\n]");
-    }
-    if failed {
-        Err(CliError::LintFailed(out))
-    } else {
-        Ok(out)
-    }
+    });
+    render_reports(reports.collect(), as_json, deny)
 }
 
 /// The `analyze` subcommand: abstract interpretation over a λ-range.
-fn analyze(args: &[String]) -> Result<String, CliError> {
+fn analyze(args: &[&str]) -> Result<String, CliError> {
     use postal_abs::{analyze_algo_with_topology, AbsConfig};
-    use postal_mc::Algo;
-    use postal_verify::{render, Severity};
-    let mut algo_arg: Option<String> = None;
-    let mut n: Option<usize> = None;
-    let mut range: Option<postal_model::Interval> = None;
-    let mut m: u32 = 1;
+    let flags = Flags::parse(
+        "analyze",
+        args,
+        "--algo= --n= --lambda-range= --m= --max-depth= --format= --deny= --topology=",
+    )?;
+    let algo_arg = flags.get("--algo", Ok)?;
+    let n = flags.get("--n", parse_n)?;
+    let range = flags.get("--lambda-range", parse_lambda_range)?;
+    let m = flags
+        .get("--m", |v| parse_count("--m", v, 1..=64))?
+        .unwrap_or(1) as u32;
     let mut cfg = AbsConfig::default();
-    let mut as_json = false;
-    let mut deny = Severity::Error;
-    let mut topology_arg: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag_value = |i: usize| {
-            args.get(i + 1)
-                .map(String::as_str)
-                .ok_or_else(|| CliError::Invalid(format!("{} needs a value", args[i])))
-        };
-        match args[i].as_str() {
-            "--algo" => {
-                algo_arg = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            "--n" => {
-                n = Some(parse_n(flag_value(i)?)?);
-                i += 2;
-            }
-            "--lambda-range" => {
-                range = Some(parse_lambda_range(flag_value(i)?)?);
-                i += 2;
-            }
-            "--m" => {
-                let v: u32 = flag_value(i)?
-                    .parse()
-                    .map_err(|_| CliError::Invalid("--m must be a positive integer".into()))?;
-                if v == 0 || v > 64 {
-                    return Err(CliError::Invalid("--m must be in 1..=64".into()));
-                }
-                m = v;
-                i += 2;
-            }
-            "--max-depth" => {
-                cfg.max_depth = flag_value(i)?
-                    .parse()
-                    .map_err(|_| CliError::Invalid("--max-depth must be an integer".into()))?;
-                if cfg.max_depth > 16 {
-                    return Err(CliError::Invalid(
-                        "--max-depth is capped at 16 (2^16 endpoint runs)".into(),
-                    ));
-                }
-                i += 2;
-            }
-            "--format" => {
-                as_json = match flag_value(i)? {
-                    "json" => true,
-                    "text" => false,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--format must be 'text' or 'json', got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            "--deny" => {
-                deny = match flag_value(i)? {
-                    "warn" => Severity::Warn,
-                    "error" => Severity::Error,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--deny must be 'warn' or 'error', got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            "--topology" => {
-                topology_arg = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            s => {
-                return Err(CliError::Invalid(format!("unknown analyze flag {s:?}")));
-            }
+    if let Some(depth) = flags.get("--max-depth", |v| {
+        let depth: u32 = v
+            .parse()
+            .map_err(|_| CliError::Invalid("--max-depth must be an integer".into()))?;
+        if depth > 16 {
+            return Err(CliError::Invalid(
+                "--max-depth is capped at 16 (2^16 endpoint runs)".into(),
+            ));
         }
+        Ok(depth)
+    })? {
+        cfg.max_depth = depth;
     }
-    let usage = || CliError::Usage(USAGE.to_string());
-    let algo_arg = algo_arg.ok_or_else(usage)?;
-    let n = n.ok_or_else(usage)?;
-    let range = range.ok_or_else(usage)?;
+    let as_json = flags.get("--format", parse_format)?.unwrap_or(false);
+    let deny = flags.get("--deny", parse_deny)?.unwrap_or(Severity::Error);
+    let topology_arg = flags.get("--topology", Ok)?;
+    flags.no_positionals()?;
+    let (algo_arg, n, range) = (
+        algo_arg.ok_or_else(usage)?,
+        n.ok_or_else(usage)?,
+        range.ok_or_else(usage)?,
+    );
     // Each endpoint run simulates the full program set; the adaptive
     // subdivision multiplies that by up to 2^depth.
     if n > 4096 {
@@ -838,36 +613,16 @@ fn analyze(args: &[String]) -> Result<String, CliError> {
             "abstract analysis runs endpoint witnesses; use n ≤ 4096".into(),
         ));
     }
-    let algos: Vec<Algo> = if algo_arg == "all" {
-        Algo::all().to_vec()
-    } else {
-        vec![Algo::parse(&algo_arg).ok_or_else(|| {
-            CliError::Invalid(format!(
-                "unknown algorithm {algo_arg:?} (bcast|repeat|repeat-greedy|pack|\
-                 pipeline|line|binary|star|dtree|all)"
-            ))
-        })?]
-    };
-
-    let topo = match &topology_arg {
-        Some(spec) => Some(parse_topology(spec, n as u32)?),
-        None => None,
-    };
+    let algos = parse_algos(algo_arg)?;
+    let topo = topology_arg
+        .map(|spec| parse_topology(spec, n as u32))
+        .transpose()?;
 
     let iv = |x: postal_model::Interval| format!("[\"{}\", \"{}\"]", x.lo(), x.hi());
-    let mut out = String::new();
-    let mut failed = false;
-    if as_json {
-        out.push_str("[\n");
-    }
-    for (idx, algo) in algos.iter().enumerate() {
-        let rep = analyze_algo_with_topology(*algo, n as u32, m, range, None, topo.as_ref(), &cfg);
-        failed |= rep.diagnostics.iter().any(|d| d.severity >= deny);
-        if as_json {
-            if idx > 0 {
-                out.push_str(",\n");
-            }
-            let _ = writeln!(out, "{{");
+    let reports = algos.into_iter().map(|algo| {
+        let rep = analyze_algo_with_topology(algo, n as u32, m, range, None, topo.as_ref(), &cfg);
+        let body = if as_json {
+            let mut out = String::new();
             let _ = writeln!(out, "  \"algo\": \"{}\",", rep.name);
             let _ = writeln!(out, "  \"n\": {},", rep.n);
             let _ = writeln!(out, "  \"m\": {},", rep.m);
@@ -896,32 +651,200 @@ fn analyze(args: &[String]) -> Result<String, CliError> {
                 })
                 .collect();
             let _ = writeln!(out, "  \"subintervals\": [{}],", subs.join(", "));
+            out
+        } else {
+            rep.summary()
+        };
+        AlgoReport {
+            name: rep.name,
+            body,
+            diagnostics: rep.diagnostics,
+        }
+    });
+    render_reports(reports.collect(), as_json, deny)
+}
+
+/// One `check`/`analyze` report: the JSON fields before
+/// `"diagnostics"` (`--format json`) or the text summary, plus the
+/// findings.
+struct AlgoReport {
+    name: String,
+    body: String,
+    diagnostics: Vec<Diagnostic>,
+}
+
+/// Renders `check`/`analyze` reports — a JSON array of objects, or text
+/// blocks separated by blank lines — and fails when any finding reaches
+/// `deny`.
+fn render_reports(
+    reports: Vec<AlgoReport>,
+    as_json: bool,
+    deny: Severity,
+) -> Result<String, CliError> {
+    use postal_verify::{json, render};
+    let mut out = String::new();
+    for (idx, rep) in reports.iter().enumerate() {
+        if as_json {
+            out.push_str(if idx == 0 { "[\n{\n" } else { ",\n{\n" });
+            out.push_str(&rep.body);
             let _ = writeln!(
                 out,
                 "  \"diagnostics\": {}",
-                postal_verify::json::diagnostics_to_json(&rep.diagnostics).trim_end()
+                json::diagnostics_to_json(&rep.diagnostics).trim_end()
             );
             out.push('}');
         } else {
-            out.push_str(&rep.summary());
-            if rep.is_clean() {
+            if idx > 0 {
+                out.push('\n');
+            }
+            out.push_str(&rep.body);
+            if rep.diagnostics.is_empty() {
                 out.push_str("  verdict               clean\n");
             } else {
                 out.push('\n');
                 out.push_str(&render::render_report(&rep.diagnostics, &rep.name));
-            }
-            if idx + 1 < algos.len() {
-                out.push('\n');
             }
         }
     }
     if as_json {
         out.push_str("\n]");
     }
+    let failed = reports
+        .iter()
+        .any(|r| r.diagnostics.iter().any(|d| d.severity >= deny));
     if failed {
         Err(CliError::LintFailed(out))
     } else {
         Ok(out)
+    }
+}
+
+/// `--algo`'s value: one registry spelling, or `all` for the nine
+/// paper workloads.
+fn parse_algos(s: &str) -> Result<Vec<Algo>, CliError> {
+    if s == "all" {
+        return Ok(Algo::all().to_vec());
+    }
+    let algo = Algo::parse(s).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown algorithm {s:?} ({}|all)",
+            Algo::spellings()
+        ))
+    })?;
+    Ok(vec![algo])
+}
+
+/// One subcommand's arguments, split into positionals and flags.
+struct Flags<'a> {
+    positionals: Vec<&'a str>,
+    /// Flags in order of appearance with their values (`""` for a
+    /// switch).
+    given: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Splits `args` of subcommand `cmd` against `spec`, its
+    /// space-separated flags: one ending in `=` takes the next argument
+    /// as its value, any other is a switch. An argument starting with
+    /// `-` that `spec` does not list is an unknown flag.
+    fn parse(cmd: &str, args: &[&'a str], spec: &str) -> Result<Flags<'a>, CliError> {
+        let mut flags = Flags {
+            positionals: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut args = args.iter().copied();
+        while let Some(arg) = args.next() {
+            let takes_value = spec
+                .split_whitespace()
+                .find_map(|f| match f.strip_suffix('=') {
+                    Some(name) => (name == arg).then_some(true),
+                    None => (f == arg).then_some(false),
+                });
+            match takes_value {
+                Some(true) => {
+                    let value = args
+                        .next()
+                        .ok_or_else(|| CliError::Invalid(format!("{arg} needs a value")))?;
+                    flags.given.push((arg, value));
+                }
+                Some(false) => flags.given.push((arg, "")),
+                None if arg.starts_with('-') => {
+                    return Err(CliError::Invalid(format!("unknown {cmd} flag {arg:?}")))
+                }
+                None => flags.positionals.push(arg),
+            }
+        }
+        Ok(flags)
+    }
+
+    /// `flag`'s value through `parse`, if given. Every occurrence must
+    /// parse; the last one wins.
+    fn get<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&'a str) -> Result<T, CliError>,
+    ) -> Result<Option<T>, CliError> {
+        self.given
+            .iter()
+            .filter(|(f, _)| *f == flag)
+            .try_fold(None, |_, (_, v)| parse(v).map(Some))
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Rejects positionals, for subcommands that take flags only.
+    fn no_positionals(&self) -> Result<(), CliError> {
+        match self.positionals.first() {
+            Some(extra) => Err(unexpected(extra)),
+            None => Ok(()),
+        }
+    }
+}
+
+fn unexpected(arg: &str) -> CliError {
+    CliError::Invalid(format!("unexpected extra argument {arg:?}"))
+}
+
+/// `--format`'s value: `true` for `json`.
+fn parse_format(v: &str) -> Result<bool, CliError> {
+    match v {
+        "json" => Ok(true),
+        "text" => Ok(false),
+        other => Err(CliError::Invalid(format!(
+            "--format must be 'text' or 'json', got {other:?}"
+        ))),
+    }
+}
+
+/// `--deny`'s value.
+fn parse_deny(v: &str) -> Result<Severity, CliError> {
+    match v {
+        "warn" => Ok(Severity::Warn),
+        "error" => Ok(Severity::Error),
+        other => Err(CliError::Invalid(format!(
+            "--deny must be 'warn' or 'error', got {other:?}"
+        ))),
+    }
+}
+
+/// An integer value of `flag` within `range` (`--m`, `--ring-capacity`,
+/// `--max-interleavings`).
+fn parse_count(flag: &str, v: &str, range: RangeInclusive<u64>) -> Result<u64, CliError> {
+    let k: u64 = v
+        .parse()
+        .map_err(|_| CliError::Invalid(format!("{flag} must be a positive integer")))?;
+    if range.contains(&k) {
+        Ok(k)
+    } else if *range.end() == u64::MAX {
+        Err(CliError::Invalid(format!(
+            "{flag} must be ≥ {}",
+            range.start()
+        )))
+    } else {
+        Err(CliError::Invalid(format!("{flag} must be in {range:?}")))
     }
 }
 
@@ -946,9 +869,13 @@ fn parse_lambda_range(s: &str) -> Result<postal_model::Interval, CliError> {
     Ok(postal_model::Interval::new(a.value(), b.value()))
 }
 
+/// Parses λ and checks that it fits one `i64` tick lattice, so no
+/// subcommand overflows on it later.
 fn parse_lambda(s: &str) -> Result<Latency, CliError> {
-    s.parse()
-        .map_err(|e| CliError::Invalid(format!("bad lambda {s:?}: {e}")))
+    let bad = |e: &dyn std::fmt::Display| CliError::Invalid(format!("bad lambda {s:?}: {e}"));
+    let lam = s.parse().map_err(|e| bad(&e))?;
+    postal_verify::json::TimeLattice::new(lam).map_err(|e| bad(&e))?;
+    Ok(lam)
 }
 
 /// Parses a [`postal_model::TopologySpec`] string and instantiates it
@@ -969,14 +896,14 @@ fn parse_n(s: &str) -> Result<usize, CliError> {
     Ok(n)
 }
 
-fn parse_n_lambda(args: &[String]) -> Result<(usize, Latency), CliError> {
+fn parse_n_lambda(args: &[&str]) -> Result<(usize, Latency), CliError> {
     match args {
         [n, lam] => Ok((parse_n(n)?, parse_lambda(lam)?)),
-        _ => Err(CliError::Usage(USAGE.to_string())),
+        _ => Err(usage()),
     }
 }
 
-fn parse_n_m_lambda(args: &[String]) -> Result<(usize, u32, Latency), CliError> {
+fn parse_n_m_lambda(args: &[&str]) -> Result<(usize, u32, Latency), CliError> {
     match args {
         [n, m, lam] => {
             let m: u32 = m
@@ -987,7 +914,7 @@ fn parse_n_m_lambda(args: &[String]) -> Result<(usize, u32, Latency), CliError> 
             }
             Ok((parse_n(n)?, m, parse_lambda(lam)?))
         }
-        _ => Err(CliError::Usage(USAGE.to_string())),
+        _ => Err(usage()),
     }
 }
 
@@ -1064,6 +991,24 @@ impl OutputOpts {
         self.sample.is_some() || self.ring_capacity.is_some()
     }
 
+    /// The sharded ring recorder `--sample` and `--ring-capacity`
+    /// configure.
+    fn ring(&self) -> RingRecorder {
+        let spec = self.sample.unwrap_or_else(SampleSpec::all);
+        let cap = self
+            .ring_capacity
+            .unwrap_or(postal_obs::ring::DEFAULT_CAPACITY);
+        RingRecorder::with_spec(cap, spec)
+    }
+
+    /// The `--topology` graph over `n` processors, if one was given.
+    fn topology(&self, n: usize) -> Result<Option<postal_model::Topology>, CliError> {
+        self.topology
+            .as_deref()
+            .map(|spec| parse_topology(spec, n as u32))
+            .transpose()
+    }
+
     /// True when `simulate` reads the run's event log: an exporter, the
     /// ring recorder or the topology edge count.
     fn needs_log(&self) -> bool {
@@ -1075,77 +1020,60 @@ impl OutputOpts {
     }
 }
 
-/// Splits an argument list into positionals and the shared output flags.
-fn split_output_flags(args: &[String]) -> Result<(Vec<String>, OutputOpts), CliError> {
-    let mut pos = Vec::new();
-    let mut opts = OutputOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag_value = |i: usize| {
-            args.get(i + 1)
-                .map(String::as_str)
-                .ok_or_else(|| CliError::Invalid(format!("{} needs a value", args[i])))
-        };
-        match args[i].as_str() {
-            "--trace-out" => {
-                opts.trace_out = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            "--events-out" => {
-                opts.events_out = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            "--metrics-out" => {
-                opts.metrics_out = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            "--sample" => {
-                opts.sample = Some(
-                    SampleSpec::parse(flag_value(i)?)
-                        .map_err(|e| CliError::Invalid(format!("--sample: {e}")))?,
-                );
-                i += 2;
-            }
-            "--ring-capacity" => {
-                let k: usize = flag_value(i)?.parse().map_err(|_| {
-                    CliError::Invalid("--ring-capacity must be a positive integer".into())
-                })?;
-                if k == 0 {
-                    return Err(CliError::Invalid("--ring-capacity must be ≥ 1".into()));
-                }
-                opts.ring_capacity = Some(k);
-                i += 2;
-            }
-            "--lint-inline" => {
-                opts.lint_inline = true;
-                i += 1;
-            }
-            "--topology" => {
-                opts.topology = Some(flag_value(i)?.to_string());
-                i += 2;
-            }
-            "--format" => {
-                opts.as_json = match flag_value(i)? {
-                    "json" => true,
-                    "text" => false,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--format must be 'text' or 'json', got {other:?}"
-                        )))
-                    }
-                };
-                i += 2;
-            }
-            s if s.starts_with('-') => {
-                return Err(CliError::Invalid(format!("unknown flag {s:?}")));
-            }
-            s => {
-                pos.push(s.to_string());
-                i += 1;
-            }
+/// Splits a `simulate`/`stats` argument list into positionals and the
+/// shared output flags.
+fn output_flags<'a>(cmd: &str, args: &[&'a str]) -> Result<(Vec<&'a str>, OutputOpts), CliError> {
+    let flags = Flags::parse(
+        cmd,
+        args,
+        "--trace-out= --events-out= --metrics-out= --sample= --ring-capacity= --topology= \
+         --format= --lint-inline",
+    )?;
+    let path = |v: &str| Ok(v.to_string());
+    let opts = OutputOpts {
+        trace_out: flags.get("--trace-out", path)?,
+        events_out: flags.get("--events-out", path)?,
+        metrics_out: flags.get("--metrics-out", path)?,
+        as_json: flags.get("--format", parse_format)?.unwrap_or(false),
+        sample: flags.get("--sample", |v| {
+            SampleSpec::parse(v).map_err(|e| CliError::Invalid(format!("--sample: {e}")))
+        })?,
+        ring_capacity: flags
+            .get("--ring-capacity", |v| {
+                parse_count("--ring-capacity", v, 1..=u64::MAX)
+            })?
+            .map(|k| k as usize),
+        lint_inline: flags.has("--lint-inline"),
+        topology: flags.get("--topology", path)?,
+    };
+    Ok((flags.positionals, opts))
+}
+
+/// What `simulate` and `stats` run.
+#[derive(Debug, Clone, Copy)]
+enum Workload {
+    /// A registry broadcast.
+    Broadcast(Algo),
+    /// The non-broadcast collectives over the values `0..n`: they take
+    /// value vectors and have no broadcast contract.
+    Combine,
+    Gossip,
+    Scatter,
+}
+
+impl Workload {
+    fn parse(algo: &str) -> Result<Workload, CliError> {
+        match algo {
+            "combine" => Ok(Workload::Combine),
+            "gossip" => Ok(Workload::Gossip),
+            "scatter" => Ok(Workload::Scatter),
+            _ => Algo::parse(algo).map(Workload::Broadcast).ok_or_else(|| {
+                CliError::Invalid(format!(
+                    "unknown algorithm {algo:?} (see `postal` for the list)"
+                ))
+            }),
         }
     }
-    Ok((pos, opts))
 }
 
 /// One simulated workload, with its observability log attached when
@@ -1170,74 +1098,67 @@ fn observed<P>(report: &RunReport<P>, n: usize, m: u32, lam: Latency, want_log: 
     }
 }
 
-/// Runs one named algorithm on the event simulator and, when `want_log`
-/// is set, captures its observability log — the single entry point
+fn sim_failed(e: SimError) -> CliError {
+    CliError::Invalid(format!("simulation failed: {e}"))
+}
+
+/// Runs one workload on the event simulator and, when `want_log` is
+/// set, captures its observability log — the single entry point
 /// `simulate` and `stats` share, so both always describe the same run
 /// the exporters saw.
 fn run_workload(
-    algo: &str,
+    workload: Workload,
     n: usize,
     m: u32,
     lam: Latency,
     want_log: bool,
 ) -> Result<SimRun, CliError> {
-    let run = match algo {
-        "bcast" => observed(&run_bcast(n, lam), n, m, lam, want_log),
-        "repeat" => observed(&run_repeat(n, m, lam).report, n, m, lam, want_log),
-        "repeat-greedy" => observed(&run_repeat_greedy(n, m, lam).report, n, m, lam, want_log),
-        "pack" => observed(&run_pack(n, m, lam).report, n, m, lam, want_log),
-        "pipeline" => observed(&run_pipeline(n, m, lam).report, n, m, lam, want_log),
-        "line" => observed(&run_dtree(n, m, lam, 1).report, n, m, lam, want_log),
-        "binary" => observed(&run_dtree(n, m, lam, 2).report, n, m, lam, want_log),
-        "star" => {
-            if n < 2 {
-                return Err(CliError::Invalid("star needs n ≥ 2".into()));
-            }
-            observed(
-                &run_dtree(n, m, lam, n as u64 - 1).report,
+    /// Runs a registry factory once at λ.
+    struct Observe {
+        n: usize,
+        m: u32,
+        lam: Latency,
+        want_log: bool,
+    }
+    impl ProgramsVisitor for Observe {
+        type Output = Result<SimRun, CliError>;
+        fn visit<P: Clone + 'static>(
+            self,
+            factory: &dyn Fn(Latency) -> Vec<Box<dyn Program<P>>>,
+        ) -> Self::Output {
+            let report = Simulation::new(self.n, &Uniform(self.lam))
+                .run(factory(self.lam))
+                .map_err(sim_failed)?;
+            Ok(observed(&report, self.n, self.m, self.lam, self.want_log))
+        }
+    }
+    let values = || (0..n as u64).collect::<Vec<u64>>();
+    match workload {
+        Workload::Broadcast(algo) => algo.programs(
+            n,
+            m,
+            Observe {
                 n,
                 m,
                 lam,
                 want_log,
-            )
-        }
-        _ if algo.starts_with("dtree:") => {
-            let d: u64 = algo[6..]
-                .parse()
-                .map_err(|_| CliError::Invalid(format!("bad degree in {algo:?}")))?;
-            if d == 0 {
-                return Err(CliError::Invalid("degree must be ≥ 1".into()));
-            }
-            observed(&run_dtree(n, m, lam, d).report, n, m, lam, want_log)
-        }
-        "combine" => {
-            let values: Vec<u64> = (0..n as u64).collect();
-            let o = combine::run_combine(&values, lam);
+            },
+        ),
+        Workload::Combine => {
+            let o = combine::run_combine(&values(), lam);
             let mut run = observed(&o.report, n, m, lam, want_log);
             run.extra = Some(format!("root total: {}", o.root_total));
-            run
+            Ok(run)
         }
-        "gossip" => {
-            let values: Vec<u64> = (0..n as u64).collect();
-            observed(
-                &gossip::run_gossip(&values, lam).report,
-                n,
-                m,
-                lam,
-                want_log,
-            )
+        Workload::Gossip => {
+            let report = gossip::run_gossip(&values(), lam).report;
+            Ok(observed(&report, n, m, lam, want_log))
         }
-        "scatter" => {
-            let items: Vec<u64> = (0..n as u64).collect();
-            observed(&scatter::run_scatter(&items, lam), n, m, lam, want_log)
+        Workload::Scatter => {
+            let report = scatter::run_scatter(&values(), lam);
+            Ok(observed(&report, n, m, lam, want_log))
         }
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown algorithm {other:?} (see `postal` for the list)"
-            )))
-        }
-    };
-    Ok(run)
+    }
 }
 
 /// Re-records a run's event log through the sharded [`RingRecorder`]
@@ -1248,11 +1169,7 @@ fn apply_ring(log: ObsLog, opts: &OutputOpts) -> ObsLog {
     if !opts.uses_ring() {
         return log;
     }
-    let spec = opts.sample.unwrap_or_else(SampleSpec::all);
-    let cap = opts
-        .ring_capacity
-        .unwrap_or(postal_obs::ring::DEFAULT_CAPACITY);
-    let ring = RingRecorder::with_spec(cap, spec);
+    let ring = opts.ring();
     for e in log.events() {
         ring.record(e.clone());
     }
@@ -1280,19 +1197,17 @@ fn write_exports(log: &ObsLog, opts: &OutputOpts) -> Result<Vec<String>, CliErro
 
 fn simulate(
     algo: &str,
+    workload: Workload,
     n: usize,
     m: u32,
     lam: Latency,
     opts: &OutputOpts,
 ) -> Result<String, CliError> {
     if opts.lint_inline {
-        return simulate_lint_inline(algo, n, m, lam, opts);
+        return simulate_lint_inline(algo, workload, n, m, lam, opts);
     }
-    let topo = match &opts.topology {
-        Some(spec) => Some(parse_topology(spec, n as u32)?),
-        None => None,
-    };
-    let run = run_workload(algo, n, m, lam, opts.needs_log())?;
+    let topo = opts.topology(n)?;
+    let run = run_workload(workload, n, m, lam, opts.needs_log())?;
     // Count non-edge sends against the full log, before any sampling
     // drops events — the same set `Simulation::restrict_to` records.
     let edge_violations = topo.zip(run.log.as_ref()).map(|(t, log)| {
@@ -1366,36 +1281,18 @@ fn simulate(
     Ok(out)
 }
 
-/// One inline-linted run's outcome: the engine's completion plus the
-/// streaming linter's report and bookkeeping.
-struct InlineLint {
-    completion: Time,
-    violations: usize,
-    edge_violations: usize,
-    sends: u64,
-    diags: Vec<postal_verify::Diagnostic>,
-    dropped: u64,
-    sample: Option<String>,
-    truncated: bool,
-    linter_bytes: usize,
-}
-
 /// The `simulate --lint-inline` path: runs the algorithm with the trace
 /// discarded as it is generated and the streaming lint engine attached
 /// as the run's recorder, so a million-processor run is linted in O(n)
 /// memory with no stored trace.
 fn simulate_lint_inline(
     algo: &str,
+    workload: Workload,
     n: usize,
     m: u32,
     lam: Latency,
     opts: &OutputOpts,
 ) -> Result<String, CliError> {
-    use postal_algos::dtree::dtree_programs;
-    use postal_algos::pack::pack_programs;
-    use postal_algos::pipeline::pipeline_programs;
-    use postal_algos::repeat::repeat_programs;
-    use postal_algos::{bcast_programs, Pacing};
     if opts.trace_out.is_some() || opts.events_out.is_some() || opts.metrics_out.is_some() {
         return Err(CliError::Invalid(
             "--lint-inline discards the trace as it runs; \
@@ -1403,231 +1300,187 @@ fn simulate_lint_inline(
                 .into(),
         ));
     }
-    let run = match algo {
-        "bcast" => run_lint_inline(n, m, lam, bcast_programs(n, lam), opts)?,
-        "repeat" => run_lint_inline(
-            n,
-            m,
-            lam,
-            repeat_programs(n, m, lam, Pacing::PaperExact),
-            opts,
-        )?,
-        "repeat-greedy" => {
-            run_lint_inline(n, m, lam, repeat_programs(n, m, lam, Pacing::Greedy), opts)?
-        }
-        "pack" => run_lint_inline(n, m, lam, pack_programs(n, m, lam), opts)?,
-        "pipeline" => run_lint_inline(n, m, lam, pipeline_programs(n, m, lam), opts)?,
-        "line" => run_lint_inline(n, m, lam, dtree_programs(n, m, 1), opts)?,
-        "binary" => run_lint_inline(n, m, lam, dtree_programs(n, m, 2), opts)?,
-        "star" => {
-            if n < 2 {
-                return Err(CliError::Invalid("star needs n ≥ 2".into()));
-            }
-            run_lint_inline(n, m, lam, dtree_programs(n, m, n as u64 - 1), opts)?
-        }
-        _ if algo.starts_with("dtree:") => {
-            let d: u64 = algo[6..]
-                .parse()
-                .map_err(|_| CliError::Invalid(format!("bad degree in {algo:?}")))?;
-            if d == 0 {
-                return Err(CliError::Invalid("degree must be ≥ 1".into()));
-            }
-            run_lint_inline(n, m, lam, dtree_programs(n, m, d), opts)?
-        }
-        "combine" | "gossip" | "scatter" => {
-            return Err(CliError::Invalid(format!(
-                "--lint-inline checks the broadcast contract (P0003/P0005/P0007); \
-                 {algo} is not a broadcast — run it without --lint-inline"
-            )));
-        }
-        other => {
-            return Err(CliError::Invalid(format!(
-                "unknown algorithm {other:?} (see `postal` for the list)"
-            )))
-        }
+    let Workload::Broadcast(broadcast) = workload else {
+        return Err(CliError::Invalid(format!(
+            "--lint-inline checks the broadcast contract (P0003/P0005/P0007); \
+             {algo} is not a broadcast — run it without --lint-inline"
+        )));
     };
-    render_inline(algo, n, m, lam, run, opts)
+    let inline = LintInline {
+        algo,
+        n,
+        m,
+        lam,
+        opts,
+    };
+    broadcast.programs(n, m, inline)
 }
 
-/// Runs one program set with the trace discarded and the linter inline.
+/// Runs one program set with the trace discarded and the linter inline,
+/// then renders the run.
 ///
 /// Unsampled runs attach a [`postal_obs::LintSink`] directly — the
 /// engine's live emission order drives the watermark. Sampled runs
 /// route events through the ring recorder exactly like a plain
 /// `--sample` run, then replay the surviving snapshot through the
 /// streaming linter; the drop count feeds the partial-trace downgrades.
-fn run_lint_inline<P: Clone>(
+struct LintInline<'a> {
+    algo: &'a str,
     n: usize,
     m: u32,
     lam: Latency,
-    programs: Vec<Box<dyn postal_sim::Program<P>>>,
-    opts: &OutputOpts,
-) -> Result<InlineLint, CliError> {
-    use postal_obs::{LintSink, LintStream, StreamOrdering};
-    use postal_sim::{Simulation, Uniform};
-    use postal_verify::LintOptions;
-    let model = Uniform(lam);
-    let lint_opts = LintOptions::broadcast_of(m as u64);
-    let topo = match &opts.topology {
-        Some(spec) => Some(parse_topology(spec, n as u32)?),
-        None => None,
-    };
-    let sim_failed = |e: postal_sim::SimError| CliError::Invalid(format!("simulation failed: {e}"));
-    let (stream, completion, violations, edge_violations, dropped, sample) = if opts.uses_ring() {
-        let spec = opts.sample.unwrap_or_else(SampleSpec::all);
-        let cap = opts
-            .ring_capacity
-            .unwrap_or(postal_obs::ring::DEFAULT_CAPACITY);
-        let ring = RingRecorder::with_spec(cap, spec);
-        let mut sim = Simulation::new(n, &model).observe(&ring).discard_trace();
-        if let Some(t) = &topo {
-            sim = sim.restrict_to(t);
-        }
-        let report = sim.run(programs).map_err(sim_failed)?;
-        let log = ring.into_log(postal_obs::RunMeta::new("event", n as u32));
-        let mut events = log.events().to_vec();
-        events.sort_by_key(|e| e.at());
-        let mut stream = match &topo {
-            Some(t) => LintStream::with_topology(n as u32, lam, lint_opts, StreamOrdering::Live, t),
-            None => LintStream::new(n as u32, lam, lint_opts, StreamOrdering::Live),
-        };
-        for ev in &events {
-            stream.on_event(ev);
-        }
-        let dropped = log.meta().dropped_events.unwrap_or(0);
-        let sample = log.meta().sample.clone();
-        (
-            stream,
-            report.completion,
-            report.violations.len(),
-            report.edge_violations.len(),
-            dropped,
-            sample,
-        )
-    } else {
-        let sink = match &topo {
-            Some(t) => LintSink::with_topology(n as u32, lam, lint_opts, t),
-            None => LintSink::new(n as u32, lam, lint_opts),
-        };
-        let mut sim = Simulation::new(n, &model).observe(&sink).discard_trace();
-        if let Some(t) = &topo {
-            sim = sim.restrict_to(t);
-        }
-        let report = sim.run(programs).map_err(sim_failed)?;
-        (
-            sink.finish(),
-            report.completion,
-            report.violations.len(),
-            report.edge_violations.len(),
-            0,
-            None,
-        )
-    };
-    if stream.out_of_order() {
-        return Err(CliError::Invalid(
-            "internal: the engine fed the inline linter out of order; \
-             re-run without --lint-inline and report this"
-                .into(),
-        ));
-    }
-    let truncated = stream.truncated();
-    let linter_bytes = stream.memory_bytes();
-    let sends = stream.sends_observed();
-    let diags = postal_verify::downgrade_truncated_trace(
-        postal_verify::downgrade_partial_trace(stream.finish(), dropped),
-        truncated,
-    );
-    Ok(InlineLint {
-        completion,
-        violations,
-        edge_violations,
-        sends,
-        diags,
-        dropped,
-        sample,
-        truncated,
-        linter_bytes,
-    })
+    opts: &'a OutputOpts,
 }
 
-/// Renders the `--lint-inline` summary plus the lint report, applying
-/// the same default gate as `lint` (fail on any error diagnostic).
-fn render_inline(
-    algo: &str,
-    n: usize,
-    m: u32,
-    lam: Latency,
-    run: InlineLint,
-    opts: &OutputOpts,
-) -> Result<String, CliError> {
-    use postal_verify::{json, render, Severity};
-    let lb = runtimes::multi_lower_bound(n as u128, m as u64, lam);
-    let report = if opts.as_json {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"command\": \"simulate\",");
-        let _ = writeln!(out, "  \"algo\": \"{algo}\",");
-        let _ = writeln!(out, "  \"n\": {n},");
-        let _ = writeln!(out, "  \"m\": {m},");
-        let _ = writeln!(out, "  \"lambda\": \"{lam}\",");
-        let _ = writeln!(out, "  \"lint_inline\": true,");
-        let _ = writeln!(out, "  \"completion\": \"{}\",", run.completion);
-        let _ = writeln!(out, "  \"completion_units\": {},", run.completion.to_f64());
-        let _ = writeln!(out, "  \"sends\": {},", run.sends);
-        let _ = writeln!(out, "  \"violations\": {},", run.violations);
-        if let Some(spec) = &opts.topology {
-            let _ = writeln!(out, "  \"topology\": \"{spec}\",");
-            let _ = writeln!(out, "  \"edge_violations\": {},", run.edge_violations);
+impl ProgramsVisitor for LintInline<'_> {
+    type Output = Result<String, CliError>;
+    fn visit<P: Clone + 'static>(
+        self,
+        factory: &dyn Fn(Latency) -> Vec<Box<dyn Program<P>>>,
+    ) -> Self::Output {
+        use postal_obs::{LintSink, LintStream, StreamOrdering};
+        use postal_verify::LintOptions;
+        let (n, lam, opts) = (self.n, self.lam, self.opts);
+        let lint_opts = LintOptions::broadcast_of(u64::from(self.m));
+        let topo = opts.topology(n)?;
+        let model = Uniform(lam);
+        let run = |recorder: &dyn Recorder| {
+            let mut sim = Simulation::new(n, &model).observe(recorder).discard_trace();
+            if let Some(t) = &topo {
+                sim = sim.restrict_to(t);
+            }
+            sim.run(factory(lam)).map_err(sim_failed)
+        };
+        let (report, stream, dropped, sample) = if opts.uses_ring() {
+            let ring = opts.ring();
+            let report = run(&ring)?;
+            let log = ring.into_log(postal_obs::RunMeta::new("event", n as u32));
+            let mut events = log.events().to_vec();
+            events.sort_by_key(|e| e.at());
+            let mut stream = match &topo {
+                Some(t) => {
+                    LintStream::with_topology(n as u32, lam, lint_opts, StreamOrdering::Live, t)
+                }
+                None => LintStream::new(n as u32, lam, lint_opts, StreamOrdering::Live),
+            };
+            for ev in &events {
+                stream.on_event(ev);
+            }
+            let meta = log.meta();
+            (
+                report,
+                stream,
+                meta.dropped_events.unwrap_or(0),
+                meta.sample.clone(),
+            )
+        } else {
+            let sink = match &topo {
+                Some(t) => LintSink::with_topology(n as u32, lam, lint_opts, t),
+                None => LintSink::new(n as u32, lam, lint_opts),
+            };
+            (run(&sink)?, sink.finish(), 0, None)
+        };
+        if stream.out_of_order() {
+            return Err(CliError::Invalid(
+                "internal: the engine fed the inline linter out of order; \
+                 re-run without --lint-inline and report this"
+                    .into(),
+            ));
         }
-        if let Some(s) = &run.sample {
-            let _ = writeln!(out, "  \"sample\": \"{s}\",");
-            let _ = writeln!(out, "  \"dropped_events\": {},", run.dropped);
-        }
-        let _ = writeln!(out, "  \"truncated\": {},", run.truncated);
-        let _ = writeln!(out, "  \"linter_memory_bytes\": {},", run.linter_bytes);
-        let _ = writeln!(out, "  \"lower_bound\": \"{lb}\",");
-        let _ = writeln!(
-            out,
-            "  \"diagnostics\": {}",
-            json::diagnostics_to_json(&run.diags).trim_end()
+        self.render(&report, stream, dropped, sample)
+    }
+}
+
+impl LintInline<'_> {
+    /// Renders the `--lint-inline` summary plus the lint report,
+    /// applying the same default gate as `lint` (fail on any error
+    /// diagnostic).
+    fn render<P>(
+        &self,
+        report: &RunReport<P>,
+        stream: postal_obs::LintStream,
+        dropped: u64,
+        sample: Option<String>,
+    ) -> Result<String, CliError> {
+        use postal_verify::{json, render};
+        let LintInline {
+            algo,
+            n,
+            m,
+            lam,
+            opts,
+        } = *self;
+        let (completion, violations) = (report.completion, report.violations.len());
+        let edge_violations = report.edge_violations.len();
+        let truncated = stream.truncated();
+        let linter_bytes = stream.memory_bytes();
+        let sends = stream.sends_observed();
+        let diags = postal_verify::downgrade_truncated_trace(
+            postal_verify::downgrade_partial_trace(stream.finish(), dropped),
+            truncated,
         );
-        out.push('}');
-        out
-    } else {
-        let mut out = format!(
-            "algorithm: {algo}\nn = {n}, m = {m}, λ = {lam}\ncompletion: {} units\n\
-             sends:     {}\nmodel violations: {}\nlower bound (Lemma 8): {lb}\n",
-            run.completion, run.sends, run.violations
-        );
-        if let Some(spec) = &opts.topology {
+        let lb = runtimes::multi_lower_bound(n as u128, m as u64, lam);
+        let out = if opts.as_json {
+            let mut out = String::from("{\n");
+            let _ = writeln!(out, "  \"command\": \"simulate\",");
+            let _ = writeln!(out, "  \"algo\": \"{algo}\",");
+            let _ = writeln!(out, "  \"n\": {n},");
+            let _ = writeln!(out, "  \"m\": {m},");
+            let _ = writeln!(out, "  \"lambda\": \"{lam}\",");
+            let _ = writeln!(out, "  \"lint_inline\": true,");
+            let _ = writeln!(out, "  \"completion\": \"{completion}\",");
+            let _ = writeln!(out, "  \"completion_units\": {},", completion.to_f64());
+            let _ = writeln!(out, "  \"sends\": {sends},");
+            let _ = writeln!(out, "  \"violations\": {violations},");
+            if let Some(spec) = &opts.topology {
+                let _ = writeln!(out, "  \"topology\": \"{spec}\",");
+                let _ = writeln!(out, "  \"edge_violations\": {edge_violations},");
+            }
+            if let Some(s) = &sample {
+                let _ = writeln!(out, "  \"sample\": \"{s}\",");
+                let _ = writeln!(out, "  \"dropped_events\": {dropped},");
+            }
+            let _ = writeln!(out, "  \"truncated\": {truncated},");
+            let _ = writeln!(out, "  \"linter_memory_bytes\": {linter_bytes},");
+            let _ = writeln!(out, "  \"lower_bound\": \"{lb}\",");
             let _ = writeln!(
                 out,
-                "edge violations ({spec} topology): {}",
-                run.edge_violations
+                "  \"diagnostics\": {}",
+                json::diagnostics_to_json(&diags).trim_end()
             );
-        }
-        let _ = writeln!(
-            out,
-            "inline lint: {} diagnostic(s) — linter memory {} KiB, no stored trace",
-            run.diags.len(),
-            run.linter_bytes.div_ceil(1024),
-        );
-        if let Some(s) = &run.sample {
+            out.push('}');
+            out
+        } else {
+            let mut out = format!(
+                "algorithm: {algo}\nn = {n}, m = {m}, λ = {lam}\ncompletion: {completion} units\n\
+                 sends:     {sends}\nmodel violations: {violations}\nlower bound (Lemma 8): {lb}\n",
+            );
+            if let Some(spec) = &opts.topology {
+                let _ = writeln!(out, "edge violations ({spec} topology): {edge_violations}");
+            }
             let _ = writeln!(
                 out,
-                "sampling: {s} — {} events dropped; absence lints downgraded",
-                run.dropped
+                "inline lint: {} diagnostic(s) — linter memory {} KiB, no stored trace",
+                diags.len(),
+                linter_bytes.div_ceil(1024),
             );
+            if let Some(s) = &sample {
+                let _ = writeln!(
+                    out,
+                    "sampling: {s} — {dropped} events dropped; absence lints downgraded"
+                );
+            }
+            if !diags.is_empty() {
+                out.push('\n');
+                out.push_str(&render::render_report(&diags, algo));
+            }
+            out
+        };
+        if diags.iter().any(|d| d.severity >= Severity::Error) {
+            Err(CliError::LintFailed(out))
+        } else {
+            Ok(out)
         }
-        if !run.diags.is_empty() {
-            out.push('\n');
-            out.push_str(&render::render_report(&run.diags, algo));
-        }
-        out
-    };
-    if run.diags.iter().any(|d| d.severity >= Severity::Error) {
-        Err(CliError::LintFailed(report))
-    } else {
-        Ok(report)
     }
 }
 
@@ -1636,6 +1489,7 @@ const STATS_UTILIZATION_ROWS: usize = 16;
 
 fn stats(
     algo: &str,
+    workload: Workload,
     n: usize,
     m: u32,
     lam: Latency,
@@ -1651,7 +1505,7 @@ fn stats(
             "--topology applies to `simulate`, `lint` and `analyze` only".into(),
         ));
     }
-    let run = run_workload(algo, n, m, lam, true)?;
+    let run = run_workload(workload, n, m, lam, true)?;
     let log = apply_ring(run.log.expect("stats always requests the log"), opts);
     let notes = write_exports(&log, opts)?;
     let s = MetricsSummary::from_log(&log);
@@ -1796,6 +1650,21 @@ mod tests {
         run(&v)
     }
 
+    /// Every registry spelling the CLI grids cover: the nine paper
+    /// workloads plus a fixed-degree tree.
+    fn registry_names() -> Vec<String> {
+        let mut names: Vec<String> = Algo::all().iter().map(Algo::name).collect();
+        names.push("dtree:3".into());
+        names
+    }
+
+    fn invalid(r: Result<String, CliError>) -> String {
+        match r {
+            Err(CliError::Invalid(msg)) => msg,
+            other => panic!("expected CliError::Invalid, got {other:?}"),
+        }
+    }
+
     #[test]
     fn no_args_prints_usage() {
         assert!(matches!(call(&[]), Err(CliError::Usage(_))));
@@ -1839,23 +1708,166 @@ mod tests {
 
     #[test]
     fn simulate_all_algorithms() {
-        for algo in [
-            "bcast",
-            "repeat",
-            "repeat-greedy",
-            "pack",
-            "pipeline",
-            "line",
-            "binary",
-            "star",
-            "dtree:3",
-            "combine",
-            "gossip",
-            "scatter",
-        ] {
+        let collectives = ["combine", "gossip", "scatter"].map(String::from);
+        for algo in registry_names().iter().chain(&collectives) {
             let out = call(&["simulate", algo, "10", "3", "2"]).unwrap();
             assert!(out.contains("model violations: 0"), "{algo}:\n{out}");
         }
+    }
+
+    #[test]
+    fn bcast_reports_the_one_message_it_carries() {
+        // BCAST is the single-message algorithm: m = 3 on the command
+        // line still runs, reports, exports and lints one message.
+        let events = std::env::temp_dir().join("postal-cli-test-bcast-m3.jsonl");
+        let e = events.to_str().unwrap();
+        let out = call(&["simulate", "bcast", "8", "3", "2", "--events-out", e]).unwrap();
+        assert!(out.contains("n = 8, m = 1, λ = 2"), "{out}");
+        assert!(out.contains("lower bound (Lemma 8): 5"), "{out}");
+        let log = std::fs::read_to_string(&events).unwrap();
+        assert!(
+            log.lines().next().unwrap().contains("\"messages\":1"),
+            "{log}"
+        );
+        let lint = call(&["lint", e]).unwrap();
+        assert!(
+            lint.contains("clean — valid broadcast of 1 message(s)"),
+            "{lint}"
+        );
+        let inline = call(&["simulate", "bcast", "8", "3", "2", "--lint-inline"]).unwrap();
+        assert!(inline.contains("inline lint: 0 diagnostic(s)"), "{inline}");
+        let stats = call(&["stats", "bcast", "8", "3", "2"]).unwrap();
+        assert!(stats.contains("m = 1"), "{stats}");
+        assert!(
+            stats.contains("f_λ(n) optimum:        5 (1.00× optimal)"),
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn every_spelling_runs_everywhere_and_star_clamps_at_one_processor() {
+        for algo in registry_names() {
+            for n in ["1", "6"] {
+                let sim = call(&["simulate", &algo, n, "2", "2"]).unwrap();
+                assert!(sim.contains("model violations: 0"), "{algo}:\n{sim}");
+                call(&["stats", &algo, n, "2", "2"]).unwrap();
+                call(&["simulate", &algo, n, "2", "2", "--lint-inline"]).unwrap();
+                let checked = call(&["check", "--algo", &algo, "--n", n, "--lambda", "2"]).unwrap();
+                assert!(
+                    checked.contains(&format!("model check: {algo} ")),
+                    "{checked}"
+                );
+                let analyzed = call(&[
+                    "analyze",
+                    "--algo",
+                    &algo,
+                    "--n",
+                    n,
+                    "--lambda-range",
+                    "1..3",
+                ])
+                .unwrap();
+                assert!(
+                    analyzed.contains("verdict               clean"),
+                    "{analyzed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_algorithms_list_the_registry() {
+        let msg = invalid(call(&[
+            "check", "--algo", "warp", "--n", "8", "--lambda", "2",
+        ]));
+        assert!(
+            msg.contains(&format!("({}|all)", Algo::spellings())),
+            "{msg}"
+        );
+        for bad in ["dtree:0", "dtree:x", "warp"] {
+            invalid(call(&["simulate", bad, "5", "1", "2"]));
+            invalid(call(&[
+                "analyze",
+                "--algo",
+                bad,
+                "--n",
+                "5",
+                "--lambda-range",
+                "1..2",
+            ]));
+        }
+    }
+
+    #[test]
+    fn one_flag_parser_serves_every_subcommand() {
+        let lint_file = write_temp(
+            "flags.json",
+            r#"{"n":3,"lambda":"5/2","sends":[{"src":0,"dst":1,"at":0},{"src":0,"dst":2,"at":1}]}"#,
+        );
+        let f = lint_file.to_str().unwrap();
+        // Unknown flags name their subcommand, in one wording.
+        for (cmd, args) in [
+            ("lint", vec!["lint", f, "--frob"]),
+            ("check", vec!["check", "--algo", "bcast", "--frob"]),
+            ("analyze", vec!["analyze", "--frob"]),
+            (
+                "simulate",
+                vec!["simulate", "bcast", "5", "1", "2", "--frob"],
+            ),
+            ("stats", vec!["stats", "--frob", "bcast", "5", "1", "2"]),
+        ] {
+            let msg = invalid(call(&args));
+            assert_eq!(msg, format!("unknown {cmd} flag \"--frob\""));
+        }
+        // A valued flag at the end has no value.
+        for args in [
+            vec!["lint", f, "--deny"],
+            vec!["check", "--algo"],
+            vec!["simulate", "bcast", "5", "1", "2", "--topology"],
+        ] {
+            let msg = invalid(call(&args));
+            assert!(msg.ends_with("needs a value"), "{msg}");
+        }
+        // A flag's value may look like a flag; the last occurrence wins.
+        let json = call(&["lint", f, "--format", "text", "--format", "json"]).unwrap();
+        assert!(json.starts_with('['), "{json}");
+        // Every occurrence is still validated.
+        invalid(call(&["lint", f, "--format", "yaml", "--format", "json"]));
+        // Flag-only subcommands reject positionals.
+        let msg = invalid(call(&["check", "--algo", "bcast", "--n", "5", "stray"]));
+        assert_eq!(msg, "unexpected extra argument \"stray\"");
+        // Per-command limits stay per command.
+        let m = |cmd: &str, v: &str| {
+            let mut args = match cmd {
+                "check" => vec!["check", "--algo", "pack", "--n", "4", "--lambda", "2"],
+                _ => vec![
+                    "analyze",
+                    "--algo",
+                    "pack",
+                    "--n",
+                    "4",
+                    "--lambda-range",
+                    "2",
+                ],
+            };
+            args.extend(["--m", v]);
+            call(&args)
+        };
+        for cmd in ["check", "analyze"] {
+            m(cmd, "64").unwrap();
+            assert_eq!(invalid(m(cmd, "65")), "--m must be in 1..=64");
+            assert_eq!(invalid(m(cmd, "0")), "--m must be in 1..=64");
+        }
+        // lint takes any m ≥ 1 (here one the schedule is too fast for).
+        assert!(matches!(
+            call(&["lint", f, "--m", "1000"]),
+            Err(CliError::LintFailed(_))
+        ));
+        assert_eq!(invalid(call(&["lint", f, "--m", "0"])), "--m must be ≥ 1");
+        assert_eq!(
+            invalid(call(&["simulate", "pack", "5", "100001", "2"])),
+            "m must be in 1..=100000"
+        );
     }
 
     #[test]
@@ -2298,20 +2310,18 @@ mod tests {
             "check", "--algo", "all", "--n", "5", "--lambda", "2", "--m", "2",
         ])
         .unwrap();
-        for name in [
-            "bcast",
-            "repeat",
-            "repeat-greedy",
-            "pack",
-            "pipeline",
-            "line",
-            "binary",
-            "star",
-            "dtree",
-        ] {
-            assert!(out.contains(&format!("model check: {name} ")), "{out}");
+        for algo in Algo::all() {
+            assert!(out.contains(&format!("model check: {algo} ")), "{out}");
         }
         assert_eq!(out.matches("verdict               clean").count(), 9);
+        for name in registry_names() {
+            let one = call(&[
+                "check", "--algo", &name, "--n", "5", "--lambda", "2", "--m", "2",
+            ])
+            .unwrap();
+            assert!(one.contains(&format!("model check: {name} ")), "{one}");
+            assert!(out.contains(&one) || name == "dtree:3", "{name}:\n{one}");
+        }
     }
 
     #[test]
@@ -2401,23 +2411,34 @@ mod tests {
             "warn",
         ])
         .unwrap();
-        for name in [
-            "bcast",
-            "repeat",
-            "repeat-greedy",
-            "pack",
-            "pipeline",
-            "line",
-            "binary",
-            "star",
-            "dtree",
-        ] {
+        for algo in Algo::all() {
             assert!(
-                out.contains(&format!("abstract analysis: {name} ")),
+                out.contains(&format!("abstract analysis: {algo} ")),
                 "{out}"
             );
         }
         assert_eq!(out.matches("verdict               clean").count(), 9);
+        for name in registry_names() {
+            let one = call(&[
+                "analyze",
+                "--algo",
+                &name,
+                "--n",
+                "6",
+                "--lambda-range",
+                "1..3",
+                "--m",
+                "2",
+                "--deny",
+                "warn",
+            ])
+            .unwrap();
+            assert!(
+                one.contains("verdict               clean"),
+                "{name}:\n{one}"
+            );
+            assert!(out.contains(&one) || name == "dtree:3", "{name}:\n{one}");
+        }
     }
 
     #[test]
@@ -2757,21 +2778,8 @@ mod tests {
 
     #[test]
     fn simulate_lint_inline_covers_the_broadcast_algorithms() {
-        for algo in [
-            "bcast",
-            "repeat",
-            "repeat-greedy",
-            "pack",
-            "pipeline",
-            "line",
-            "binary",
-            "star",
-            "dtree:3",
-        ] {
-            // BCAST carries exactly one message whatever m says; lint
-            // with m = 3 would rightly flag the run as too fast (P0007).
-            let m = if algo == "bcast" { "1" } else { "3" };
-            let out = call(&["simulate", algo, "10", m, "2", "--lint-inline"])
+        for algo in registry_names() {
+            let out = call(&["simulate", &algo, "10", "3", "2", "--lint-inline"])
                 .unwrap_or_else(|e| panic!("{algo}: {e:?}"));
             assert!(out.contains("model violations: 0"), "{algo}:\n{out}");
         }

@@ -8,6 +8,8 @@
 //! * Times no shared `i64` tick lattice can hold are rejected with an
 //!   `error:` line naming the send and exit code 1 — never a panic
 //!   (exit 101) — in batch mode and with `--stream`.
+//! * So is a λ no such lattice can hold, in every subcommand that takes
+//!   one.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -134,5 +136,46 @@ fn out_of_range_log_times_are_rejected_in_batch_and_stream_mode() {
         let path = write_input(&format!("huge-{i}.jsonl"), &log);
         assert_rejected(&lint(&path, &[]), "line 3");
         assert_rejected(&lint(&path, &["--stream"]), "line 3");
+    }
+}
+
+/// A λ whose tick lattice needs a denominator past `i64`.
+const HUGE_LAMBDA: &str = "1000000000000000000001/1000000000000000000000";
+
+#[test]
+fn a_lambda_off_every_i64_lattice_is_rejected_by_every_subcommand() {
+    let l = HUGE_LAMBDA;
+    let range = format!("1..{l}");
+    let cases: [&[&str]; 11] = [
+        &["tree", "14", l],
+        &["gantt", "8", l],
+        &["fib", l, "8"],
+        &["svg", "8", l],
+        &["optimal", "3", "2", l],
+        &["plan", "512", "16", l],
+        &["simulate", "bcast", "8", "1", l],
+        &["stats", "pipeline", "8", "3", l],
+        &["check", "--algo", "bcast", "--n", "8", "--lambda", l],
+        &["analyze", "--algo", "line", "--n", "8", "--lambda-range", l],
+        &[
+            "analyze",
+            "--algo",
+            "all",
+            "--n",
+            "8",
+            "--lambda-range",
+            &range,
+        ],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_postal-cli"))
+            .args(args)
+            .output()
+            .expect("spawn postal-cli");
+        let se = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {se}");
+        assert!(se.starts_with("error: bad lambda"), "{args:?}: {se}");
+        assert!(se.contains("out of range"), "{args:?}: {se}");
+        assert!(!se.contains("panicked"), "{args:?}: {se}");
     }
 }

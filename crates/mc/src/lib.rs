@@ -28,7 +28,8 @@
 //! ## Quick example
 //!
 //! ```
-//! use postal_mc::{check_algo, Algo, McConfig};
+//! use postal_algos::registry::Algo;
+//! use postal_mc::{check_algo, McConfig};
 //! use postal_model::Latency;
 //!
 //! let report = check_algo(
@@ -50,7 +51,7 @@ pub mod workload;
 
 pub use explore::{ExploreStats, McConfig};
 pub use mutation::Mutation;
-pub use workload::{check_algo, Algo};
+pub use workload::check_algo;
 
 use explore::explore;
 use postal_model::lint::{Diagnostic, LintCode, LintOptions, Severity};

@@ -3,85 +3,16 @@
 use crate::explore::McConfig;
 use crate::mutation::Mutation;
 use crate::{check_programs, CheckReport};
-use postal_algos::dtree::dtree_programs;
-use postal_algos::pack::pack_programs;
-use postal_algos::pipeline::pipeline_programs;
-use postal_algos::repeat::repeat_programs;
-use postal_algos::{bcast_programs, Pacing};
+use postal_algos::registry::{Algo, ProgramsVisitor};
 use postal_model::lint::LintOptions;
-use postal_model::{runtimes, Latency};
-
-/// A paper algorithm the checker knows how to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algo {
-    /// Single-message broadcast (BCAST), `m` forced to 1.
-    Bcast,
-    /// Multi-message REPEAT with the paper's exact pacing.
-    Repeat,
-    /// REPEAT with greedy pacing (sends as early as the port allows).
-    RepeatGreedy,
-    /// Multi-message PACK (messages travel as one packet).
-    Pack,
-    /// Multi-message PIPELINE (regime 1/2 chosen per `(m, λ)`).
-    Pipeline,
-    /// Degree-1 tree (the line): `DTREE` with `d = 1`.
-    Line,
-    /// Degree-2 tree: `DTREE` with `d = 2`.
-    Binary,
-    /// Degree-`n−1` tree (the star): `DTREE` with `d = n − 1`.
-    Star,
-    /// `DTREE` at the latency-matched degree `d = min(⌈λ⌉ + 1, n − 1)`.
-    Dtree,
-}
-
-impl Algo {
-    /// All workloads, in grid order.
-    pub fn all() -> [Algo; 9] {
-        [
-            Algo::Bcast,
-            Algo::Repeat,
-            Algo::RepeatGreedy,
-            Algo::Pack,
-            Algo::Pipeline,
-            Algo::Line,
-            Algo::Binary,
-            Algo::Star,
-            Algo::Dtree,
-        ]
-    }
-
-    /// The CLI spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Bcast => "bcast",
-            Algo::Repeat => "repeat",
-            Algo::RepeatGreedy => "repeat-greedy",
-            Algo::Pack => "pack",
-            Algo::Pipeline => "pipeline",
-            Algo::Line => "line",
-            Algo::Binary => "binary",
-            Algo::Star => "star",
-            Algo::Dtree => "dtree",
-        }
-    }
-
-    /// Parses a CLI spelling.
-    pub fn parse(s: &str) -> Option<Algo> {
-        Algo::all().into_iter().find(|a| a.name() == s)
-    }
-}
-
-impl std::fmt::Display for Algo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+use postal_model::Latency;
+use postal_sim::Program;
 
 /// Model-checks one paper algorithm at `(n, m, λ)`.
 ///
-/// `Bcast` ignores `m` (it is the single-message algorithm); the tree
-/// shapes pick their degree from the variant (`Line` 1, `Binary` 2,
-/// `Star` `n − 1`, `Dtree` latency-matched).
+/// The registry supplies the programs: `Bcast` ignores `m` (it is the
+/// single-message algorithm) and the tree shapes take the registry's
+/// degree rule.
 pub fn check_algo(
     algo: Algo,
     n: u32,
@@ -90,119 +21,47 @@ pub fn check_algo(
     mutation: Option<Mutation>,
     cfg: &McConfig,
 ) -> CheckReport {
-    let nu = n as usize;
-    let m = m.max(1);
-    let eff_m = if algo == Algo::Bcast { 1 } else { m };
-    let opts = LintOptions::broadcast_of(eff_m as u64);
-    let degree = |d: u64| d.clamp(1, (n as u64).saturating_sub(1).max(1));
-    match algo {
-        Algo::Bcast => check_programs(
-            algo.name(),
-            n,
-            1,
-            lam,
-            || bcast_programs(nu, lam),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::Repeat => check_programs(
-            algo.name(),
-            n,
-            m as u64,
-            lam,
-            || repeat_programs(nu, m, lam, Pacing::PaperExact),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::RepeatGreedy => check_programs(
-            algo.name(),
-            n,
-            m as u64,
-            lam,
-            || repeat_programs(nu, m, lam, Pacing::Greedy),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::Pack => check_programs(
-            algo.name(),
-            n,
-            m as u64,
-            lam,
-            || pack_programs(nu, m, lam),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::Pipeline => check_programs(
-            algo.name(),
-            n,
-            m as u64,
-            lam,
-            || pipeline_programs(nu, m, lam),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::Line => check_programs(
-            algo.name(),
-            n,
-            m as u64,
-            lam,
-            || dtree_programs(nu, m, degree(1)),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::Binary => check_programs(
-            algo.name(),
-            n,
-            m as u64,
-            lam,
-            || dtree_programs(nu, m, degree(2)),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::Star => check_programs(
-            algo.name(),
-            n,
-            m as u64,
-            lam,
-            || dtree_programs(nu, m, degree(n as u64)),
-            mutation,
-            &opts,
-            cfg,
-        ),
-        Algo::Dtree => {
-            let d = runtimes::latency_matched_degree(n as u128, lam) as u64;
+    struct Check<'a> {
+        name: String,
+        n: u32,
+        m: u64,
+        lam: Latency,
+        mutation: Option<Mutation>,
+        cfg: &'a McConfig,
+    }
+    impl ProgramsVisitor for Check<'_> {
+        type Output = CheckReport;
+        fn visit<P: Clone + 'static>(
+            self,
+            factory: &dyn Fn(Latency) -> Vec<Box<dyn Program<P>>>,
+        ) -> CheckReport {
             check_programs(
-                algo.name(),
-                n,
-                m as u64,
-                lam,
-                || dtree_programs(nu, m, degree(d)),
-                mutation,
-                &opts,
-                cfg,
+                &self.name,
+                self.n,
+                self.m,
+                self.lam,
+                || factory(self.lam),
+                self.mutation,
+                &LintOptions::broadcast_of(self.m),
+                self.cfg,
             )
         }
     }
+    let check = Check {
+        name: algo.name(),
+        n,
+        m: u64::from(algo.messages(m)),
+        lam,
+        mutation,
+        cfg,
+    };
+    algo.programs(n as usize, m, check)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn algo_names_round_trip() {
-        for a in Algo::all() {
-            assert_eq!(Algo::parse(a.name()), Some(a));
-        }
-        assert_eq!(Algo::parse("nope"), None);
-    }
+    use postal_model::runtimes;
 
     #[test]
     fn bcast_check_is_clean_and_matches_closed_form() {

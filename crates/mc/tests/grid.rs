@@ -7,7 +7,8 @@
 //! a single execution while the naive interleaving estimate grows — the
 //! grid asserts that reduction too.
 
-use postal_mc::{check_algo, Algo, McConfig};
+use postal_algos::registry::Algo;
+use postal_mc::{check_algo, McConfig};
 use postal_model::runtimes;
 use postal_model::Latency;
 

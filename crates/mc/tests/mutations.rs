@@ -1,7 +1,8 @@
 //! Mutation tests: each fault-injection class must be flagged with its
 //! specific lint code — and with *only* the codes its fault implies.
 
-use postal_mc::{check_algo, check_programs, Algo, McConfig, Mutation};
+use postal_algos::registry::Algo;
+use postal_mc::{check_algo, check_programs, McConfig, Mutation};
 use postal_model::lint::{LintCode, LintOptions};
 use postal_model::{Latency, Time};
 use postal_sim::{Context, ProcId, Program};

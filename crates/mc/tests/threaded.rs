@@ -4,7 +4,8 @@
 //! than a hang or a panic in the harness.
 
 use postal_algos::bcast::{BcastPayload, BcastProgram};
-use postal_mc::{check_algo, Algo, McConfig};
+use postal_algos::registry::Algo;
+use postal_mc::{check_algo, McConfig};
 use postal_model::Latency;
 use postal_runtime::{send_programs_from, try_run_threaded, RuntimeConfig, RuntimeError};
 use postal_sim::{Context, ProcId, Program};

@@ -1,9 +1,7 @@
 //! End-to-end integration tests: every numbered result of the paper,
 //! asserted across crate boundaries through the `postal` facade.
 
-use postal::algos::{
-    run_bcast, run_dtree, run_line, run_pack, run_pipeline, run_repeat, run_star, BroadcastTree,
-};
+use postal::algos::{run_bcast, run_dtree, run_pack, run_pipeline, run_repeat, BroadcastTree};
 use postal::model::{bounds, runtimes, GenFib, Latency, Time};
 
 const LAMBDAS: &[(i128, i128)] = &[(1, 1), (3, 2), (2, 1), (5, 2), (7, 3), (4, 1), (10, 1)];
@@ -62,8 +60,8 @@ fn lemma8_no_algorithm_beats_the_lower_bound() {
                     ("REPEAT", run_repeat(n, m, lam).completion()),
                     ("PACK", run_pack(n, m, lam).completion()),
                     ("PIPELINE", run_pipeline(n, m, lam).completion()),
-                    ("LINE", run_line(n, m, lam).completion()),
-                    ("STAR", run_star(n, m, lam).completion()),
+                    ("LINE", run_dtree(n, m, lam, 1).completion()),
+                    ("STAR", run_dtree(n, m, lam, n as u64 - 1).completion()),
                 ] {
                     assert!(t >= lb, "{name} beat Lemma 8 at n={n} m={m} λ={lam}");
                 }
@@ -108,11 +106,11 @@ fn lemma18_dtree_bound_and_exact_degenerate_degrees() {
                     );
                 }
                 assert_eq!(
-                    run_line(n, m, lam).completion(),
+                    run_dtree(n, m, lam, 1).completion(),
                     runtimes::line_time(n as u128, m as u64, lam)
                 );
                 assert_eq!(
-                    run_star(n, m, lam).completion(),
+                    run_dtree(n, m, lam, n as u64 - 1).completion(),
                     runtimes::star_time(n as u128, m as u64, lam)
                 );
             }
