@@ -120,14 +120,18 @@ impl BenchReport {
         out
     }
 
-    /// Writes `BENCH_<id>.json` into `dir` and returns the path.
+    /// Writes `BENCH_<id>.json` into `dir`, creating `dir` and its
+    /// parents when missing, and returns the path.
     ///
     /// # Panics
-    /// Panics when the file cannot be written — an experiment whose
-    /// summary is lost should fail loudly, not silently.
+    /// Panics when the directory cannot be created or the file cannot
+    /// be written — an experiment whose summary is lost should fail
+    /// loudly, not silently.
     pub fn write_to(&self, dir: &std::path::Path) -> PathBuf {
         let path = dir.join(format!("BENCH_{}.json", self.id));
-        std::fs::write(&path, self.to_json()).expect("writable BENCH output directory");
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, self.to_json()))
+            .expect("writable BENCH output directory");
         path
     }
 
@@ -219,7 +223,11 @@ mod tests {
 
     #[test]
     fn write_to_creates_the_file() {
-        let dir = std::env::temp_dir();
+        // A fresh nested directory: `write_to` creates the missing
+        // levels instead of losing the report.
+        let root = std::env::temp_dir().join(format!("postal-bench-report-{}", std::process::id()));
+        let dir = root.join("nested").join("out");
+        let _ = std::fs::remove_dir_all(&root);
         let mut r = BenchReport::new("report-module-test");
         r.int("ok", 1);
         let path = r.write_to(&dir);
@@ -229,5 +237,19 @@ mod tests {
         );
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"ok\": 1"));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "writable BENCH output directory")]
+    fn write_to_panics_on_an_unwritable_directory() {
+        // A path under a regular file can never become a directory.
+        let file = std::env::temp_dir().join(format!("postal-bench-file-{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let mut r = BenchReport::new("report-module-test");
+        r.int("ok", 1);
+        let result = std::panic::catch_unwind(|| r.write_to(&file.join("sub")));
+        std::fs::remove_file(&file).unwrap();
+        std::panic::resume_unwind(result.unwrap_err());
     }
 }

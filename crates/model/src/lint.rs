@@ -50,24 +50,26 @@
 //!
 //! ## Architecture
 //!
-//! [`lint_schedule`] is a thin wrapper over the streaming, single-sweep
-//! [`PassManager`]: the schedule's sends are bucketed **once** into a
-//! shared [`ScheduleIndex`] (CSR-style per-src/per-dst slices over a
-//! single well-formed-send arena, plus first-receipt times and an `i64`
-//! tick lane on λ's lattice), and every `P0001`–`P0007`
-//! check is a [`LintPass`] driven over that index in one sweep — no
-//! per-check `HashMap` rebuilds or cloned send vectors. The seed
-//! engine is retained verbatim as
-//! [`reference::lint_schedule_reference`]; the differential test suite
-//! asserts the two produce byte-identical diagnostics over the full
-//! acceptance grid.
+//! Each of `P0001`–`P0007` and `P0017`–`P0019` is written once, as a
+//! [`LintPass`] in the [`passes`] module, and one pass set has two
+//! drivers:
 //!
-//! The [`stream`] module carries the suite one step further: a
-//! [`StreamingLint`] engine runs the same `P0001`–`P0007` checks over a
-//! send *stream* — fed live by the simulator or by a JSONL log — with
-//! O(n) memory and no materialized schedule at all, again pinned
-//! byte-identical to the batch output. See the [`stream`] module docs
-//! for the watermark/finalization protocol.
+//! * the **sorted** driver, [`PassManager::run`] (behind
+//!   [`lint_schedule`]): a [`Schedule`] already holds its sends in
+//!   canonical `(send_start, src, dst)` order, so the driver folds them
+//!   once into a [`ScheduleIndex`] (first receipts and completion, on
+//!   `i64` ticks of λ's lattice) and hands `schedule.sends()` straight
+//!   to the passes;
+//! * the **watermark** driver, [`StreamingLint`] in the [`stream`]
+//!   module: a send *stream* — fed live by the simulator or by a JSONL
+//!   log — parked in a pending heap until a watermark proves its
+//!   canonical position, with O(n) memory and no materialized schedule.
+//!
+//! Both end in the same staged finish, so on the same sends they report
+//! byte-identical diagnostics. The seed engine is retained verbatim as
+//! [`reference::lint_schedule_reference`], the one independent oracle;
+//! the differential suites assert both drivers match it over the full
+//! acceptance grid.
 
 use crate::ratio::Interval;
 use crate::schedule::{Schedule, TimedSend};
@@ -79,12 +81,9 @@ pub mod passes;
 pub mod reference;
 pub mod stream;
 
-pub use index::ScheduleIndex;
-pub use passes::{LintPass, PassContext, PassManager, PassStage};
-pub use stream::{
-    lint_schedule_streaming, lint_schedule_streaming_with_topology, StreamContext, StreamEvent,
-    StreamIndex, StreamingLint, StreamingLintPass,
-};
+pub use index::{ScheduleIndex, StreamIndex};
+pub use passes::{LintPass, PassManager, PassStage, StreamContext, StreamEvent, StreamingLintPass};
+pub use stream::{lint_schedule_streaming, lint_schedule_streaming_with_topology, StreamingLint};
 
 /// Stable diagnostic codes, one per paper rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -454,8 +453,9 @@ impl LintOptions {
 /// Runs every applicable lint over `schedule`, returning all findings in
 /// deterministic order (by code, then processor, then time).
 ///
-/// Equivalent to driving [`PassManager::standard`]: one
-/// [`ScheduleIndex`] build, one sweep of every `P0001`--`P0007` pass.
+/// The sorted driver over [`PassManager::standard`]: one
+/// [`ScheduleIndex`] build, then one sweep of the sends through every
+/// `P0001`–`P0007` pass.
 pub fn lint_schedule(schedule: &Schedule, opts: &LintOptions) -> Vec<Diagnostic> {
     PassManager::standard().run(schedule, opts)
 }

@@ -1,242 +1,298 @@
-//! The shared send index every lint pass sweeps over.
+//! The per-run facts every lint pass reads: the run's tick lattice, each
+//! processor's first receipt, and the completion maximum.
 //!
-//! [`ScheduleIndex::build`] buckets a schedule's sends **once** into a
-//! CSR (compressed-sparse-row) layout: a single arena of well-formed
-//! sends in schedule order, plus per-src and per-dst index slices into
-//! it. [`Schedule::new`] already sorts sends by
-//! `(send_start, src, dst)`, so every CSR bucket comes out in exactly
-//! the order the checks need — per-src buckets ascend by send start
-//! (the `P0001` window order), and per-dst buckets ascend by
-//! `(recv_finish, src)` (the `P0002` window order; `recv_finish` is
-//! `send_start + λ`, a constant shift, so the orders coincide). The
-//! seed engine's per-destination clone-and-sort was therefore a no-op,
-//! and the index simply drops it.
+//! A [`StreamIndex`] folds sends in one at a time. Times count `i64`
+//! ticks of the run's [`TickScale`] (`D = lcm(2, q)` for λ = p/q), so the
+//! hot comparisons run on machine integers for every rational λ; an
+//! exact [`Time`] side table holds the values off that lattice or out of
+//! its range (only possible in an externally supplied schedule or log),
+//! so every answer is exact either way. Agreement of the two paths is
+//! property-tested in `crates/model/tests/tick_scale_props.rs`.
 //!
-//! The index also carries an `i64` **tick lane** — send starts and first
-//! receipts counted in ticks of the schedule's [`TickScale`]
-//! (`D = lcm(2, q)` for λ = p/q) — so the hot window and causality
-//! comparisons run on machine integers instead of reduced 128-bit
-//! rationals, for every rational λ. The lane is all-or-nothing: one
-//! send start off the lattice or out of range (only possible in an
-//! externally supplied schedule) and every comparison transparently
-//! falls back to exact [`Time`] arithmetic. Agreement of the two paths
-//! is property-tested in `crates/model/tests/tick_scale_props.rs`.
+//! The two drivers fold sends in at different times:
+//!
+//! * the watermark driver ([`StreamingLint`](super::StreamingLint))
+//!   folds each send as it is observed, so its passes read a *running*
+//!   index;
+//! * the sorted driver ([`PassManager::run`](super::PassManager::run))
+//!   folds a whole [`Schedule`] first ([`ScheduleIndex::build`]) and
+//!   sweeps the passes over an index that is already final.
+//!
+//! No report depends on the difference. A receipt that informs a send
+//! finishes by the send's start, so its own send started at least λ
+//! earlier and both drivers have folded it in before the passes see the
+//! later send: the `P0003` answer is the same. `P0006` reads a port's
+//! informed time at its first send, which is final in both drivers
+//! unless that send breaks causality — and then the `P0003` error
+//! suppresses `P0006`.
 
 use crate::latency::Latency;
 use crate::schedule::{Schedule, TimedSend};
 use crate::time::{TickScale, Time};
+use std::collections::HashMap;
+use std::mem::size_of;
 
-/// Sentinel for "never receives" in the tick lane's first-receipt
-/// array. Larger than any in-range tick count.
-pub(crate) const NEVER: i64 = i64::MAX;
+/// Sentinel for "no value" in a [`TimeSlots`] tick lane. Larger than
+/// any representable tick count.
+const EMPTY: i64 = i64::MAX;
+/// Sentinel for "value lives in the exact side table".
+const EXACT: i64 = i64::MAX - 1;
 
-/// The `i64` tick mirror of the arena, present only when every send
-/// start lies on the schedule's lattice within range.
-pub(crate) struct FastLane {
-    /// The lattice the ticks count on.
-    pub(crate) scale: TickScale,
-    /// λ in ticks.
-    pub(crate) lambda: i64,
-    /// Send starts in ticks, aligned with the arena.
-    pub(crate) start: Vec<i64>,
-    /// Per-processor first receipt in ticks ([`NEVER`] if none).
-    pub(crate) first_receipt: Vec<i64>,
+/// Per-processor time storage: an `i64` tick lane with an exact side
+/// table for off-lattice values. Costs 8 bytes per processor plus one
+/// hash entry per processor that ever held an off-lattice time (none
+/// for a stream the simulator produced). Every method takes the run's
+/// scale.
+pub(crate) struct TimeSlots {
+    ticks: Vec<i64>,
+    exact: HashMap<u32, Time>,
 }
 
-/// One-time CSR bucketing of a schedule's sends, shared by every pass
-/// in a [`PassManager`](super::PassManager) sweep.
-pub struct ScheduleIndex {
-    n: u32,
-    latency: Latency,
-    arena: Vec<TimedSend>,
-    malformed: Vec<TimedSend>,
-    src_start: Vec<u32>,
-    src_idx: Vec<u32>,
-    dst_start: Vec<u32>,
-    dst_idx: Vec<u32>,
-    first_receipt: Vec<Option<Time>>,
-    fast: Option<FastLane>,
-}
+impl TimeSlots {
+    pub(crate) fn new(n: usize) -> TimeSlots {
+        TimeSlots {
+            ticks: vec![EMPTY; n],
+            exact: HashMap::new(),
+        }
+    }
 
-impl ScheduleIndex {
-    /// Builds the index: one partition of the sends into well-formed
-    /// arena and malformed remainder, one counting-sort per endpoint
-    /// axis, one first-receipt scan, and (when representable) the
-    /// fixed-point lane. O(E + n) time and memory.
-    pub fn build(schedule: &Schedule) -> ScheduleIndex {
-        let n = schedule.n();
-        let nn = n as usize;
-        let lam = schedule.latency();
+    /// Slot `p` in ticks, when it holds a lattice value.
+    pub(crate) fn tick(&self, p: u32) -> Option<i64> {
+        Some(self.ticks[p as usize]).filter(|&h| h != EMPTY && h != EXACT)
+    }
 
-        let mut arena: Vec<TimedSend> = Vec::with_capacity(schedule.len());
-        let mut malformed: Vec<TimedSend> = Vec::new();
-        for s in schedule.sends() {
-            if s.src >= n || s.dst >= n || s.src == s.dst || s.send_start < Time::ZERO {
-                malformed.push(*s);
-            } else {
-                arena.push(*s);
+    pub(crate) fn get(&self, p: u32, scale: TickScale) -> Option<Time> {
+        match self.ticks[p as usize] {
+            EMPTY => None,
+            EXACT => self.exact.get(&p).copied(),
+            h => Some(scale.to_time(h)),
+        }
+    }
+
+    pub(crate) fn put(&mut self, p: u32, t: Time, scale: TickScale) {
+        match scale.to_tick(t) {
+            Some(h) if self.ticks[p as usize] != EXACT => self.ticks[p as usize] = h,
+            _ => {
+                self.ticks[p as usize] = EXACT;
+                self.exact.insert(p, t);
             }
         }
-        assert!(
-            arena.len() <= u32::MAX as usize,
-            "schedule exceeds the 2^32-send index capacity"
-        );
+    }
 
-        // Counting sort into CSR: counts, prefix sums, then scatter.
-        // The scatter preserves arena (= schedule) order within each
-        // bucket, which is exactly the order the window checks need.
-        let mut src_start = vec![0u32; nn + 1];
-        let mut dst_start = vec![0u32; nn + 1];
-        for s in &arena {
-            src_start[s.src as usize + 1] += 1;
-            dst_start[s.dst as usize + 1] += 1;
-        }
-        for p in 0..nn {
-            src_start[p + 1] += src_start[p];
-            dst_start[p + 1] += dst_start[p];
-        }
-        let mut src_idx = vec![0u32; arena.len()];
-        let mut dst_idx = vec![0u32; arena.len()];
-        let mut src_fill: Vec<u32> = src_start[..nn].to_vec();
-        let mut dst_fill: Vec<u32> = dst_start[..nn].to_vec();
-        for (i, s) in arena.iter().enumerate() {
-            let a = &mut src_fill[s.src as usize];
-            src_idx[*a as usize] = i as u32;
-            *a += 1;
-            let b = &mut dst_fill[s.dst as usize];
-            dst_idx[*b as usize] = i as u32;
-            *b += 1;
-        }
+    /// Overwrites slot `p`, which [`TimeSlots::tick`] just read as a
+    /// lattice value, with tick `h`.
+    pub(crate) fn put_tick(&mut self, p: u32, h: i64) {
+        debug_assert!(self.tick(p).is_some(), "slot {p} is not on the lattice");
+        self.ticks[p as usize] = h;
+    }
 
-        let mut first_receipt: Vec<Option<Time>> = vec![None; nn];
-        for s in &arena {
-            let r = s.recv_finish(lam);
-            let e = &mut first_receipt[s.dst as usize];
-            *e = Some(match *e {
-                Some(t) => t.min(r),
-                None => r,
-            });
+    /// Lowers slot `p` toward tick `h` without leaving the integer lane
+    /// (`EMPTY` is `i64::MAX`, so the bare `min` covers the unset case).
+    fn set_min_tick(&mut self, p: u32, h: i64, scale: TickScale) {
+        let slot = &mut self.ticks[p as usize];
+        if *slot == EXACT {
+            let t = scale.to_time(h);
+            let e = self.exact.get_mut(&p).expect("EXACT slot has an entry");
+            if t < *e {
+                *e = t;
+            }
+        } else if h < *slot {
+            *slot = h;
         }
+    }
 
-        let fast = Self::build_fast_lane(&arena, lam, nn);
+    /// Lowers slot `p` toward `t`.
+    fn set_min(&mut self, p: u32, t: Time, scale: TickScale) {
+        match scale.to_tick(t) {
+            Some(h) => self.set_min_tick(p, h, scale),
+            None => match self.get(p, scale) {
+                Some(c) if c <= t => {}
+                _ => self.put(p, t, scale),
+            },
+        }
+    }
 
-        ScheduleIndex {
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.ticks.capacity() * size_of::<i64>()
+            + self.exact.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
+    }
+}
+
+/// The facts every pass shares: processor count, λ and its lattice,
+/// per-processor first-receipt times (the minimum is order-independent)
+/// and the completion maximum over *all* folded sends, malformed
+/// included (mirroring [`Schedule::completion`]).
+pub struct StreamIndex {
+    n: u32,
+    latency: Latency,
+    scale: TickScale,
+    lam_tick: Option<i64>,
+    first_receipt: TimeSlots,
+    completion_tick: i64,
+    completion_exact: Option<Time>,
+    sends: u64,
+    malformed: u64,
+}
+
+/// The sorted driver's precomputed facts: a [`StreamIndex`] with a
+/// whole schedule folded in by [`StreamIndex::build`], so every first
+/// receipt and the completion are final before the sweep. The name
+/// stays because the repository benchmark (`perfbench/`) builds one to
+/// time the index and sweep apart.
+pub type ScheduleIndex = StreamIndex;
+
+impl StreamIndex {
+    pub(crate) fn new(n: u32, latency: Latency) -> StreamIndex {
+        // A λ whose lattice overflows an i64 keeps half-unit ticks: its
+        // own times then take the exact lanes.
+        let scale = TickScale::for_latency(latency).unwrap_or(TickScale::HALF);
+        StreamIndex {
             n,
-            latency: lam,
-            arena,
-            malformed,
-            src_start,
-            src_idx,
-            dst_start,
-            dst_idx,
-            first_receipt,
-            fast,
-        }
-    }
-
-    /// The all-or-nothing tick lane: `Some` only when every send start
-    /// is representable in ticks of λ's lattice within the
-    /// overflow-safe range.
-    fn build_fast_lane(arena: &[TimedSend], lam: Latency, nn: usize) -> Option<FastLane> {
-        let scale = TickScale::for_latency(lam)?;
-        let lambda = scale.to_tick(lam.as_time())?;
-        let mut start = Vec::with_capacity(arena.len());
-        for s in arena {
-            start.push(scale.to_tick(s.send_start)?);
-        }
-        let mut first_receipt = vec![NEVER; nn];
-        for (s, &h) in arena.iter().zip(&start) {
-            let e = &mut first_receipt[s.dst as usize];
-            *e = (*e).min(h + lambda);
-        }
-        Some(FastLane {
+            latency,
             scale,
-            lambda,
-            start,
-            first_receipt,
-        })
+            lam_tick: scale.to_tick(latency.as_time()),
+            first_receipt: TimeSlots::new(n as usize),
+            completion_tick: i64::MIN,
+            completion_exact: None,
+            sends: 0,
+            malformed: 0,
+        }
     }
 
-    /// Processor count of the indexed schedule.
+    /// Folds every send of `schedule` into a fresh index. O(E + n).
+    pub fn build(schedule: &Schedule) -> ScheduleIndex {
+        let mut index = StreamIndex::new(schedule.n(), schedule.latency());
+        for s in schedule.sends() {
+            index.record(s);
+        }
+        index
+    }
+
+    /// `s`'s start in ticks, when it has one, and whether `s` is well
+    /// formed: distinct endpoints below n and a non-negative start. A
+    /// malformed send is `P0004` material.
+    pub(crate) fn classify(&self, s: &TimedSend) -> (Option<i64>, bool) {
+        let tick = self.scale.to_tick(s.send_start);
+        let non_negative = match tick {
+            Some(h) => h >= 0,
+            None => s.send_start >= Time::ZERO,
+        };
+        let n = self.n;
+        (
+            tick,
+            s.src < n && s.dst < n && s.src != s.dst && non_negative,
+        )
+    }
+
+    /// Classifies `s` ([`StreamIndex::classify`]) and folds it into the
+    /// aggregates.
+    pub(crate) fn record(&mut self, s: &TimedSend) -> (Option<i64>, bool) {
+        let (start_tick, well_formed) = self.classify(s);
+        let finish = match (self.lam_tick, start_tick) {
+            // Both ≤ TICK_LIMIT = i64::MAX/4 in magnitude: no overflow.
+            (Some(l), Some(h)) => Some(h + l),
+            _ => None,
+        };
+        match finish {
+            Some(h) => self.completion_tick = self.completion_tick.max(h),
+            None => {
+                let rf = s.recv_finish(self.latency);
+                self.completion_exact = Some(match self.completion_exact {
+                    Some(c) => c.max(rf),
+                    None => rf,
+                });
+            }
+        }
+        if well_formed {
+            self.sends += 1;
+            match finish {
+                Some(h) => self.first_receipt.set_min_tick(s.dst, h, self.scale),
+                None => self
+                    .first_receipt
+                    .set_min(s.dst, s.recv_finish(self.latency), self.scale),
+            }
+        } else {
+            self.malformed += 1;
+        }
+        (start_tick, well_formed)
+    }
+
+    /// Processor count of the run under lint.
     pub fn n(&self) -> u32 {
         self.n
     }
 
-    /// λ of the indexed schedule.
+    /// λ of the run under lint.
     pub fn latency(&self) -> Latency {
         self.latency
     }
 
-    /// The well-formed sends, in schedule order.
-    pub fn arena(&self) -> &[TimedSend] {
-        &self.arena
+    /// The tick lattice the run's times are counted on.
+    pub fn scale(&self) -> TickScale {
+        self.scale
     }
 
-    /// The malformed sends (`P0004` material), in schedule order.
-    pub fn malformed(&self) -> &[TimedSend] {
-        &self.malformed
-    }
-
-    /// Arena indices of `src`'s sends, ascending by send start.
-    pub fn by_src(&self, src: u32) -> &[u32] {
-        let p = src as usize;
-        &self.src_idx[self.src_start[p] as usize..self.src_start[p + 1] as usize]
-    }
-
-    /// Arena indices of `dst`'s receives, ascending by
-    /// `(recv_finish, src)`.
-    pub fn by_dst(&self, dst: u32) -> &[u32] {
-        let p = dst as usize;
-        &self.dst_idx[self.dst_start[p] as usize..self.dst_start[p + 1] as usize]
-    }
-
-    /// When processor `p` first finishes receiving anything, if ever.
+    /// When processor `p` first finishes receiving anything folded in
+    /// so far, if ever. Final once every send is folded in.
     pub fn first_receipt(&self, p: u32) -> Option<Time> {
-        self.first_receipt[p as usize]
+        self.first_receipt.get(p, self.scale)
     }
 
-    /// True when the `i64` tick lane is active (every send start on
-    /// λ's lattice).
-    pub fn has_fast_lane(&self) -> bool {
-        self.fast.is_some()
-    }
-
-    /// The tick lane, when active.
-    pub(crate) fn tick_lane(&self) -> Option<&FastLane> {
-        self.fast.as_ref()
-    }
-
-    /// Whether arena sends `i` and `j` start less than one unit apart
-    /// (`start[j] < start[i] + 1`). This single comparison is both the
-    /// `P0001` output-port condition on per-src neighbors and the
-    /// `P0002` input-window condition on per-dst neighbors (receive
-    /// finishes are starts shifted by the constant λ).
-    pub fn lt_one_apart(&self, i: usize, j: usize) -> bool {
-        match &self.fast {
-            Some(lane) => lane.start[j] < lane.start[i] + lane.scale.den(),
-            None => self.arena[j].send_start < self.arena[i].send_start + Time::ONE,
+    /// Whether `b` starts less than one unit after `a` (`b < a + 1`):
+    /// the `P0001` condition on one sender's consecutive sends and the
+    /// `P0002` condition on one receiver's (receive windows are starts
+    /// shifted by the constant λ). On ticks whenever both times have
+    /// one.
+    pub fn lt_one_apart(&self, a: Time, b: Time) -> bool {
+        match (self.scale.to_tick(a), self.scale.to_tick(b)) {
+            (Some(x), Some(y)) => y < x + self.scale.den(),
+            _ => b < a + Time::ONE,
         }
     }
 
-    /// Whether the sender of arena send `i` holds the message by the
-    /// send's start (the `P0003` causality condition). `false` means
-    /// the send is a causality violation.
-    pub fn sender_informed(&self, i: usize) -> bool {
-        let src = self.arena[i].src as usize;
-        match &self.fast {
-            Some(lane) => lane.first_receipt[src] <= lane.start[i],
-            None => match self.first_receipt[src] {
-                Some(t) => t <= self.arena[i].send_start,
-                None => false,
-            },
+    /// Whether processor `p` holds the message by time `t` — its first
+    /// receipt finishes at or before `t` — the `P0003` causality
+    /// condition. On ticks whenever both values have one.
+    pub fn informed_by(&self, p: u32, t: Time) -> bool {
+        match (self.first_receipt.tick(p), self.scale.to_tick(t)) {
+            (Some(r), Some(h)) => r <= h,
+            _ => self.first_receipt(p).is_some_and(|r| r <= t),
         }
+    }
+
+    /// The latest receive finish over every folded send (malformed
+    /// included), or zero when there is none — the image of
+    /// [`Schedule::completion`].
+    pub fn completion(&self) -> Time {
+        let fast =
+            (self.completion_tick != i64::MIN).then(|| self.scale.to_time(self.completion_tick));
+        match (fast, self.completion_exact) {
+            (Some(a), Some(b)) => a.max(b),
+            (Some(a), None) => a,
+            (None, Some(b)) => b,
+            (None, None) => Time::ZERO,
+        }
+    }
+
+    /// Well-formed sends folded in so far.
+    pub fn sends_observed(&self) -> u64 {
+        self.sends
+    }
+
+    /// Malformed sends folded in so far.
+    pub fn malformed_observed(&self) -> u64 {
+        self.malformed
+    }
+
+    /// Currently reserved heap bytes, by container capacity.
+    pub fn memory_bytes(&self) -> usize {
+        self.first_receipt.memory_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::Latency;
 
     fn send(src: u32, dst: u32, num: i128, den: i128) -> TimedSend {
         TimedSend {
@@ -247,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn buckets_preserve_schedule_order_and_partition_malformed() {
+    fn build_partitions_malformed_sends_and_finds_first_receipts() {
         let s = Schedule::new(
             3,
             Latency::from_ratio(5, 2),
@@ -261,49 +317,44 @@ mod tests {
             ],
         );
         let idx = ScheduleIndex::build(&s);
-        assert_eq!(idx.arena().len(), 3);
-        assert_eq!(idx.malformed().len(), 3);
-        assert_eq!(idx.by_src(0).len(), 2);
-        assert_eq!(idx.by_src(1).len(), 1);
-        assert_eq!(idx.by_src(2).len(), 0);
-        assert_eq!(idx.by_dst(2).len(), 2);
-        // Per-src bucket ascends by send start.
-        let starts: Vec<Time> = idx
-            .by_src(0)
-            .iter()
-            .map(|&i| idx.arena()[i as usize].send_start)
-            .collect();
-        assert_eq!(starts, vec![Time::ZERO, Time::ONE]);
-        // Per-dst bucket ascends by recv finish.
-        let finishes: Vec<Time> = idx
-            .by_dst(2)
-            .iter()
-            .map(|&i| idx.arena()[i as usize].recv_finish(s.latency()))
-            .collect();
-        assert!(finishes.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(idx.sends_observed(), 3);
+        assert_eq!(idx.malformed_observed(), 3);
+        // Malformed sends inform no one: p1's first receipt is 0 + 5/2,
+        // not the negative send's 3/2.
         assert_eq!(idx.first_receipt(1), Some(Time::new(5, 2)));
+        assert_eq!(idx.first_receipt(2), Some(Time::new(7, 2)));
         assert_eq!(idx.first_receipt(0), None);
+        // ...but count toward completion, like Schedule::completion.
+        assert_eq!(idx.completion(), s.completion());
     }
 
     #[test]
-    fn fast_lane_engages_on_every_rational_lambda() {
-        let half = Schedule::new(2, Latency::from_ratio(5, 2), vec![send(0, 1, 3, 2)]);
-        assert!(ScheduleIndex::build(&half).has_fast_lane());
-
-        let thirds = Schedule::new(2, Latency::from_ratio(4, 3), vec![send(0, 1, 1, 3)]);
-        assert!(ScheduleIndex::build(&thirds).has_fast_lane());
-
-        let off_lattice_third = Schedule::new(2, Latency::from_ratio(4, 3), vec![send(0, 1, 1, 5)]);
-        assert!(!ScheduleIndex::build(&off_lattice_third).has_fast_lane());
-
-        let off_lattice_send = Schedule::new(2, Latency::from_int(2), vec![send(0, 1, 1, 3)]);
-        assert!(!ScheduleIndex::build(&off_lattice_send).has_fast_lane());
+    fn every_rational_lambda_has_a_tick_lattice() {
+        // λ's own lattice holds its schedule's starts; a start off it
+        // keeps an exact first receipt instead.
+        for (lam, start, on_lattice) in [
+            (Latency::from_ratio(5, 2), Time::new(3, 2), true),
+            (Latency::from_ratio(4, 3), Time::new(1, 3), true),
+            (Latency::from_ratio(4, 3), Time::new(1, 5), false),
+            (Latency::from_int(2), Time::new(1, 3), false),
+        ] {
+            let s = Schedule::new(
+                2,
+                lam,
+                vec![TimedSend {
+                    src: 0,
+                    dst: 1,
+                    send_start: start,
+                }],
+            );
+            let idx = ScheduleIndex::build(&s);
+            assert_eq!(idx.scale().to_tick(start).is_some(), on_lattice, "{lam}");
+            assert_eq!(idx.first_receipt(1), Some(start + lam.as_time()));
+        }
     }
 
     #[test]
     fn predicates_agree_between_lanes() {
-        // Same schedule through the fixed lane and (via an off-lattice
-        // dummy λ with identical starts scaled) the exact lane.
         let s = Schedule::new(
             4,
             Latency::from_ratio(5, 2),
@@ -314,30 +365,49 @@ mod tests {
                 send(1, 3, 7, 2),
             ],
         );
-        let fast = ScheduleIndex::build(&s);
-        assert!(fast.has_fast_lane());
-        let exact = {
-            // Rebuild with the lane disabled by an off-lattice λ of the
-            // same value is impossible (λ is exact), so compare against
-            // direct Time arithmetic instead.
-            fast.arena()
-                .iter()
-                .map(|t| t.send_start)
-                .collect::<Vec<_>>()
-        };
-        for i in 0..exact.len() {
-            for j in 0..exact.len() {
-                assert_eq!(
-                    fast.lt_one_apart(i, j),
-                    exact[j] < exact[i] + Time::ONE,
-                    "({i},{j})"
-                );
+        let idx = ScheduleIndex::build(&s);
+        // Lattice starts compare on ticks, a 1/3 start exactly; both
+        // must match direct Time arithmetic.
+        let mut starts: Vec<Time> = s.sends().iter().map(|t| t.send_start).collect();
+        starts.push(Time::new(1, 3));
+        for &a in &starts {
+            for &b in &starts {
+                assert_eq!(idx.lt_one_apart(a, b), b < a + Time::ONE, "({a}, {b})");
             }
         }
-        // p1 is informed at 5/2, sends at 7/2: causally fine. p0 is the
-        // originator and never receives: its sends read as uninformed
-        // (the pass exempts the originator before asking).
-        assert!(fast.sender_informed(3));
-        assert!(!fast.sender_informed(0));
+        // p1 is informed at 5/2: not at 7/3 (exact) or 2 (ticks), yes at
+        // 7/2. p0 is the originator and never receives.
+        assert!(idx.informed_by(1, Time::new(7, 2)));
+        assert!(idx.informed_by(1, Time::new(5, 2)));
+        assert!(!idx.informed_by(1, Time::new(7, 3)));
+        assert!(!idx.informed_by(1, Time::from_int(2)));
+        assert!(!idx.informed_by(0, Time::from_int(9)));
+    }
+
+    #[test]
+    fn time_slots_mix_lattice_and_exact_values() {
+        let half = TickScale::HALF;
+        let mut slots = TimeSlots::new(2);
+        assert_eq!(slots.get(0, half), None);
+        slots.set_min(0, Time::new(5, 2), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(5, 2)));
+        assert_eq!(slots.tick(0), Some(5));
+        // An off-lattice minimum migrates the slot to the side table...
+        slots.set_min(0, Time::new(1, 3), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(1, 3)));
+        assert_eq!(slots.tick(0), None);
+        // ...and later lattice values keep comparing exactly.
+        slots.set_min(0, Time::new(1, 4), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
+        slots.set_min(0, Time::from_int(7), half);
+        assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
+        slots.put(1, Time::new(1, 3), half);
+        slots.put(1, Time::from_int(2), half);
+        assert_eq!(slots.get(1, half), Some(Time::from_int(2)));
+        // On sixths, thirds are lattice values.
+        let sixths = TickScale::new(6).unwrap();
+        let mut slots = TimeSlots::new(1);
+        slots.set_min(0, Time::new(7, 3), sixths);
+        assert_eq!(slots.tick(0), Some(14));
     }
 }

@@ -1,36 +1,53 @@
-//! The single-sweep pass manager driving every `P0001`–`P0007` check.
+//! The lint pass set — every `P0001`–`P0007` and `P0017`–`P0019` check,
+//! written once — and the sorted driver that sweeps it over a schedule.
 //!
-//! A [`PassManager`] builds one [`ScheduleIndex`] and runs each
-//! registered [`LintPass`] over it, in three stages that reproduce the
-//! engine's staged semantics exactly:
+//! A [`LintPass`] is a stateless rule: it names itself and its
+//! [`PassStage`], and [`LintPass::start`] creates its per-run state, a
+//! [`StreamingLintPass`] that consumes the run's sends one
+//! [`StreamEvent`] at a time and appends its findings at `finish`. Two
+//! drivers feed the same passes:
 //!
-//! 1. **Shape** (`P0004`, `P0001`, `P0002`) — always run; for
-//!    non-broadcast lints ([`LintOptions::ports_only`]) the sweep stops
-//!    here and returns the findings in emission order (the engine's
-//!    historical contract).
-//! 2. **Broadcast** (`P0003`, `P0005`) — run when
+//! * **sorted** — [`PassManager::run`], behind
+//!   [`lint_schedule`](super::lint_schedule). A [`Schedule`] is already
+//!   in canonical `(send_start, src, dst)` order, so the driver folds it
+//!   into a [`ScheduleIndex`] and hands `schedule.sends()` straight to
+//!   the passes, with no pending heap.
+//! * **watermark** — [`StreamingLint`](super::StreamingLint), for a live
+//!   run or a logged stream, which a pending heap restores to canonical
+//!   order (see the [`stream`](super::stream) module).
+//!
+//! Both end in one staged finish:
+//!
+//! 1. **Shape** (`P0004`, `P0001`, `P0002`, `P0017`) — always run; for
+//!    non-broadcast lints ([`LintOptions::ports_only`]) the report stops
+//!    here, in emission order (the engine's historical contract), and
+//!    no later-stage pass is even started.
+//! 2. **Broadcast** (`P0003`, `P0005`, `P0019`) — run when
 //!    [`LintOptions::broadcast`] is set. Any error so far suppresses
 //!    the quality stage: a broken schedule's completion time is
 //!    meaningless.
-//! 3. **Quality** (`P0006`, `P0007`) — warnings and notes about
+//! 3. **Quality** (`P0006`, `P0007`, `P0018`) — warnings and notes about
 //!    schedules that are valid but wasteful.
 //!
-//! Passes emit into one shared diagnostic vector; the manager sorts it
-//! once at the end (broadcast mode only, matching the seed engine).
-//! Output is byte-identical to
+//! Passes emit into one shared diagnostic vector, sorted once at the end
+//! (broadcast mode only, matching the seed engine). Output is
+//! byte-identical to
 //! [`reference::lint_schedule_reference`](super::reference::lint_schedule_reference),
-//! which the differential suite asserts over the full acceptance grid.
+//! which the differential suites assert over the full acceptance grid
+//! for both drivers.
 
-use super::index::{ScheduleIndex, NEVER};
+use super::index::{ScheduleIndex, StreamIndex, TimeSlots};
 use super::{diag_order, Diagnostic, LintCode, LintOptions, Severity};
 use crate::fib::GenFib;
 use crate::runtimes;
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, TimedSend};
 use crate::time::Time;
 use crate::topology::{Topology, UNREACHABLE};
+use std::collections::HashMap;
+use std::mem::size_of;
 use std::ops::Add;
 
-/// When in the sweep a pass runs (see the module docs).
+/// When in the staged finish a pass reports (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassStage {
     /// Port and shape rules; always run.
@@ -41,34 +58,57 @@ pub enum PassStage {
     Quality,
 }
 
-/// Everything a pass may look at: the one-time index, the raw schedule
-/// (for `completion`), and the caller's options.
-pub struct PassContext<'a> {
-    /// The shared CSR index over the schedule's sends.
-    pub index: &'a ScheduleIndex,
-    /// The schedule under lint.
-    pub schedule: &'a Schedule,
-    /// What to lint the schedule as.
+/// One unit of input, handed to every started pass.
+pub enum StreamEvent<'a> {
+    /// A well-formed send, in canonical `(send_start, src, dst)` order.
+    Send(&'a TimedSend),
+    /// A structurally malformed send (`P0004` material): in schedule
+    /// order from the sorted driver, at observation time in stream
+    /// order from the watermark driver.
+    Malformed(&'a TimedSend),
+}
+
+/// What a pass may look at alongside each event: the run's shared
+/// index and the caller's options.
+pub struct StreamContext<'a> {
+    /// The shared per-run facts (running or final; see
+    /// [`index`](super::index)).
+    pub index: &'a StreamIndex,
+    /// What the run is being linted as.
     pub opts: &'a LintOptions,
 }
 
-/// One check over the shared [`ScheduleIndex`].
-///
-/// A pass must emit its diagnostics in the engine's canonical
-/// *emission* order (by processor, then bucket order) — the manager
-/// relies on stable sorting to keep equal-key diagnostics in emission
-/// order, which is part of the byte-identical output contract.
+/// One lint rule: its name, its stage, and a constructor for its
+/// per-run state.
 pub trait LintPass {
     /// Short stable name, e.g. `"output-port"`.
     fn name(&self) -> &'static str;
-    /// When in the sweep this pass runs.
+    /// When in the staged finish this pass reports.
     fn stage(&self) -> PassStage;
-    /// Appends this pass's findings to `out`.
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>);
+    /// Creates this pass's state for one run over `n` processors.
+    fn start(&self, n: u32) -> Box<dyn StreamingLintPass + Send>;
 }
 
-/// Drives a configured sequence of [`LintPass`]es in one sweep over a
-/// schedule.
+/// A [`LintPass`]'s state over one run.
+///
+/// `on_event` is called once per send — well-formed sends in canonical
+/// order, malformed ones as the driver meets them — and `finish` once
+/// at the end. A pass must emit its diagnostics in the engine's
+/// canonical *emission* order for its code (by processor, then send
+/// order): the final stable sort keeps equal-key diagnostics in
+/// emission order, which is part of the byte-identical contract.
+pub trait StreamingLintPass {
+    /// Consumes one send.
+    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
+    /// Appends this pass's findings to `out` at end of run.
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>);
+    /// Currently reserved heap bytes, by container capacity.
+    fn memory_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// An ordered list of [`LintPass`]es, and the sorted driver over it.
 pub struct PassManager {
     passes: Vec<Box<dyn LintPass>>,
 }
@@ -102,20 +142,10 @@ impl PassManager {
     /// count (out-of-range processors read as non-edges/unreachable).
     pub fn standard_with_topology(topology: &Topology) -> PassManager {
         let topo = *topology;
-        PassManager {
-            passes: vec![
-                Box::new(MalformedSendPass),
-                Box::new(OutputPortPass),
-                Box::new(InputWindowPass),
-                Box::new(NonEdgeSendPass { topo }),
-                Box::new(CausalityPass),
-                Box::new(CoveragePass),
-                Box::new(TopologyReachabilityPass { topo }),
-                Box::new(IdlePortPass),
-                Box::new(OptimalityPass),
-                Box::new(TopologyOptimalityPass { topo }),
-            ],
-        }
+        PassManager::standard()
+            .with_pass(Box::new(NonEdgeSendPass { topo }))
+            .with_pass(Box::new(TopologyReachabilityPass { topo }))
+            .with_pass(Box::new(TopologyOptimalityPass { topo }))
     }
 
     /// An empty manager, for assembling a custom pass list.
@@ -123,58 +153,99 @@ impl PassManager {
         PassManager { passes: Vec::new() }
     }
 
-    /// Appends a pass (builder style).
+    /// Appends a pass (builder style). Passes report stage by stage,
+    /// in list order within a stage.
     #[must_use]
     pub fn with_pass(mut self, pass: Box<dyn LintPass>) -> PassManager {
         self.passes.push(pass);
         self
     }
 
-    /// The registered passes, in sweep order.
+    /// The registered passes, in list order.
     pub fn passes(&self) -> &[Box<dyn LintPass>] {
         &self.passes
     }
 
-    /// Builds the [`ScheduleIndex`] and runs the sweep.
+    /// Builds the [`ScheduleIndex`] and runs the sorted driver.
     pub fn run(&self, schedule: &Schedule, opts: &LintOptions) -> Vec<Diagnostic> {
-        let index = ScheduleIndex::build(schedule);
-        self.run_with_index(&index, schedule, opts)
+        self.run_with_index(&ScheduleIndex::build(schedule), schedule, opts)
     }
 
-    /// Runs the sweep over a prebuilt index (lets callers amortize the
-    /// index across several option sets).
+    /// The sorted driver over a prebuilt `index`, which must be
+    /// [`ScheduleIndex::build`] of the same schedule: starts the passes,
+    /// hands them `schedule.sends()` in order, and runs the staged
+    /// finish. Lets callers amortize the index across several option
+    /// sets or pass lists.
     pub fn run_with_index(
         &self,
         index: &ScheduleIndex,
         schedule: &Schedule,
         opts: &LintOptions,
     ) -> Vec<Diagnostic> {
-        let cx = PassContext {
-            index,
-            schedule,
-            opts,
-        };
+        let cx = StreamContext { index, opts };
+        let mut passes = self.start(index.n(), opts);
+        for s in schedule.sends() {
+            let ev = if index.classify(s).1 {
+                StreamEvent::Send(s)
+            } else {
+                StreamEvent::Malformed(s)
+            };
+            passes.on_event(&cx, &ev);
+        }
+        passes.finish(&cx)
+    }
+
+    /// Starts every pass the run can report: the Shape passes alone for
+    /// a non-broadcast lint, the whole list otherwise.
+    pub(crate) fn start(&self, n: u32, opts: &LintOptions) -> StartedPasses {
+        StartedPasses(
+            self.passes
+                .iter()
+                .filter(|p| opts.broadcast || p.stage() == PassStage::Shape)
+                .map(|p| (p.stage(), p.start(n)))
+                .collect(),
+        )
+    }
+}
+
+/// The passes of one run, each with its stage.
+pub(crate) struct StartedPasses(Vec<(PassStage, Box<dyn StreamingLintPass + Send>)>);
+
+impl StartedPasses {
+    pub(crate) fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+        for (_, pass) in &mut self.0 {
+            pass.on_event(cx, ev);
+        }
+    }
+
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.0.iter().map(|(_, p)| p.memory_bytes()).sum()
+    }
+
+    /// The one staged finish (see the module docs).
+    pub(crate) fn finish(mut self, cx: &StreamContext<'_>) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        self.run_stage(PassStage::Shape, &cx, &mut diags);
-        if !opts.broadcast {
-            // Historical contract: port-only lints return in emission
-            // order, unsorted.
+        self.finish_stage(PassStage::Shape, cx, &mut diags);
+        if !cx.opts.broadcast {
             return diags;
         }
-        self.run_stage(PassStage::Broadcast, &cx, &mut diags);
-        if diags.iter().any(|d| d.severity == Severity::Error) {
-            diags.sort_by_key(diag_order);
-            return diags;
+        self.finish_stage(PassStage::Broadcast, cx, &mut diags);
+        if !diags.iter().any(|d| d.severity == Severity::Error) {
+            self.finish_stage(PassStage::Quality, cx, &mut diags);
         }
-        self.run_stage(PassStage::Quality, &cx, &mut diags);
         diags.sort_by_key(diag_order);
         diags
     }
 
-    fn run_stage(&self, stage: PassStage, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        for pass in &self.passes {
-            if pass.stage() == stage {
-                pass.run(cx, out);
+    fn finish_stage(
+        &mut self,
+        stage: PassStage,
+        cx: &StreamContext<'_>,
+        out: &mut Vec<Diagnostic>,
+    ) {
+        for (s, pass) in &mut self.0 {
+            if *s == stage {
+                pass.finish(cx, out);
             }
         }
     }
@@ -192,10 +263,31 @@ impl LintPass for MalformedSendPass {
         PassStage::Shape
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn start(&self, _n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(MalformedRun { found: Vec::new() })
+    }
+}
+
+/// `P0004` per run: malformed sends buffer as they arrive and replay in
+/// schedule order at `finish`.
+struct MalformedRun {
+    found: Vec<TimedSend>,
+}
+
+impl StreamingLintPass for MalformedRun {
+    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+        if let StreamEvent::Malformed(s) = ev {
+            self.found.push(**s);
+        }
+    }
+
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
+        // Schedule order: `Schedule::new` sorts by (start, src, dst);
+        // the watermark driver meets malformed sends in stream order.
+        self.found.sort_by_key(|s| (s.send_start, s.src, s.dst));
         let n = cx.index.n();
         let lam = cx.index.latency();
-        for s in cx.index.malformed() {
+        for s in &self.found {
             let what = if s.src == s.dst {
                 "self-send"
             } else if s.src >= n || s.dst >= n {
@@ -217,6 +309,10 @@ impl LintPass for MalformedSendPass {
             });
         }
     }
+
+    fn memory_bytes(&self) -> usize {
+        self.found.capacity() * size_of::<TimedSend>()
+    }
 }
 
 /// `P0001` — output-port overlap: consecutive sends from one processor
@@ -232,20 +328,45 @@ impl LintPass for OutputPortPass {
         PassStage::Shape
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        let arena = idx.arena();
-        for src in 0..idx.n() {
-            for pair in idx.by_src(src).windows(2) {
-                let (i, j) = (pair[0] as usize, pair[1] as usize);
-                if idx.lt_one_apart(i, j) {
-                    let (a, b) = (arena[i], arena[j]);
-                    out.push(Diagnostic {
+    fn start(&self, n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(OutputPortRun {
+            prev_start: TimeSlots::new(n as usize),
+            prev_dst: vec![0; n as usize],
+            found: Vec::new(),
+        })
+    }
+}
+
+/// `P0001` per run: one previous send per output port; overlaps are
+/// detected as sends arrive and grouped by processor at `finish`.
+struct OutputPortRun {
+    prev_start: TimeSlots,
+    prev_dst: Vec<u32>,
+    found: Vec<(u32, Diagnostic)>,
+}
+
+impl StreamingLintPass for OutputPortRun {
+    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+        let StreamEvent::Send(b) = ev else {
+            return;
+        };
+        let scale = cx.index.scale();
+        let src = b.src;
+        if let Some(a_start) = self.prev_start.get(src, scale) {
+            if cx.index.lt_one_apart(a_start, b.send_start) {
+                let a = TimedSend {
+                    src,
+                    dst: self.prev_dst[src as usize],
+                    send_start: a_start,
+                };
+                self.found.push((
+                    src,
+                    Diagnostic {
                         code: LintCode::OutputPortOverlap,
                         severity: Severity::Error,
                         witness: None,
                         proc: Some(src),
-                        sends: vec![a, b],
+                        sends: vec![a, **b],
                         related_time: None,
                         message: format!(
                             "p{src} starts sends at t = {} and t = {} ({} < 1 unit apart)",
@@ -253,10 +374,25 @@ impl LintPass for OutputPortPass {
                             b.send_start,
                             b.send_start - a.send_start,
                         ),
-                    });
-                }
+                    },
+                ));
             }
         }
+        self.prev_start.put(src, b.send_start, scale);
+        self.prev_dst[src as usize] = b.dst;
+    }
+
+    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
+        // Emission order is per src, ascending; the stable sort keeps
+        // each processor's overlaps in send order.
+        self.found.sort_by_key(|(src, _)| *src);
+        out.extend(self.found.drain(..).map(|(_, d)| d));
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.prev_start.memory_bytes()
+            + self.prev_dst.capacity() * size_of::<u32>()
+            + self.found.capacity() * size_of::<(u32, Diagnostic)>()
     }
 }
 
@@ -273,25 +409,48 @@ impl LintPass for InputWindowPass {
         PassStage::Shape
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        let arena = idx.arena();
-        let lam = idx.latency();
-        for dst in 0..idx.n() {
-            for pair in idx.by_dst(dst).windows(2) {
-                let (i, j) = (pair[0] as usize, pair[1] as usize);
-                // Receive finishes are send starts shifted by the
-                // constant λ, so the window condition is the same
-                // less-than-one-unit-apart comparison.
-                if idx.lt_one_apart(i, j) {
-                    let (a, b) = (arena[i], arena[j]);
-                    let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
-                    out.push(Diagnostic {
+    fn start(&self, n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(InputWindowRun {
+            prev_start: TimeSlots::new(n as usize),
+            prev_src: vec![0; n as usize],
+            found: Vec::new(),
+        })
+    }
+}
+
+/// `P0002` per run: one previous receive window per input port;
+/// overlaps are detected as sends arrive and grouped by processor at
+/// `finish`.
+struct InputWindowRun {
+    prev_start: TimeSlots,
+    prev_src: Vec<u32>,
+    found: Vec<(u32, Diagnostic)>,
+}
+
+impl StreamingLintPass for InputWindowRun {
+    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+        let StreamEvent::Send(b) = ev else {
+            return;
+        };
+        let scale = cx.index.scale();
+        let dst = b.dst;
+        if let Some(a_start) = self.prev_start.get(dst, scale) {
+            if cx.index.lt_one_apart(a_start, b.send_start) {
+                let a = TimedSend {
+                    src: self.prev_src[dst as usize],
+                    dst,
+                    send_start: a_start,
+                };
+                let lam = cx.index.latency();
+                let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
+                self.found.push((
+                    dst,
+                    Diagnostic {
                         code: LintCode::InputWindowOverlap,
                         severity: Severity::Error,
                         witness: None,
                         proc: Some(dst),
-                        sends: vec![a, b],
+                        sends: vec![a, **b],
                         related_time: None,
                         message: format!(
                             "p{dst}'s receive windows [{}, {}] and [{}, {}] overlap",
@@ -300,10 +459,23 @@ impl LintPass for InputWindowPass {
                             f1 - Time::ONE,
                             f1,
                         ),
-                    });
-                }
+                    },
+                ));
             }
         }
+        self.prev_start.put(dst, b.send_start, scale);
+        self.prev_src[dst as usize] = b.src;
+    }
+
+    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
+        self.found.sort_by_key(|(dst, _)| *dst);
+        out.extend(self.found.drain(..).map(|(_, d)| d));
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.prev_start.memory_bytes()
+            + self.prev_src.capacity() * size_of::<u32>()
+            + self.found.capacity() * size_of::<(u32, Diagnostic)>()
     }
 }
 
@@ -320,13 +492,34 @@ impl LintPass for CausalityPass {
         PassStage::Broadcast
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        for (i, s) in idx.arena().iter().enumerate() {
-            if s.src == cx.opts.originator || idx.sender_informed(i) {
-                continue;
-            }
-            let knows_at = idx.first_receipt(s.src);
+    fn start(&self, _n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(CausalityRun { found: Vec::new() })
+    }
+}
+
+/// `P0003` per run: the violation is decided as each send arrives — a
+/// receipt that informs it finishes by its start, so its own send
+/// started at least λ earlier and is already folded into the index
+/// (see [`index`](super::index)). The message needs the sender's
+/// eventual first receipt, so violations buffer in send order and
+/// render at `finish`.
+struct CausalityRun {
+    found: Vec<TimedSend>,
+}
+
+impl StreamingLintPass for CausalityRun {
+    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+        let StreamEvent::Send(s) = ev else {
+            return;
+        };
+        if s.src != cx.opts.originator && !cx.index.informed_by(s.src, s.send_start) {
+            self.found.push(**s);
+        }
+    }
+
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
+        for s in &self.found {
+            let knows_at = cx.index.first_receipt(s.src);
             out.push(Diagnostic {
                 code: LintCode::CausalityViolation,
                 severity: Severity::Error,
@@ -347,9 +540,15 @@ impl LintPass for CausalityPass {
             });
         }
     }
+
+    fn memory_bytes(&self) -> usize {
+        self.found.capacity() * size_of::<TimedSend>()
+    }
 }
 
 /// `P0005` — coverage: every processor but the originator must receive.
+/// A pure `finish`-time sweep of the first-receipt table.
+#[derive(Clone, Copy)]
 pub struct CoveragePass;
 
 impl LintPass for CoveragePass {
@@ -361,7 +560,13 @@ impl LintPass for CoveragePass {
         PassStage::Broadcast
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn start(&self, _n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(*self)
+    }
+}
+
+impl StreamingLintPass for CoveragePass {
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
         let idx = cx.index;
         for p in 0..idx.n() {
             if p != cx.opts.originator && idx.first_receipt(p).is_none() {
@@ -381,10 +586,6 @@ impl LintPass for CoveragePass {
 
 /// `P0006` — idle-port waste: an informed output port idles although a
 /// send in the gap would inform someone strictly earlier.
-///
-/// The gap scan runs on the index's `i64` tick lane when it is active —
-/// every λ with on-lattice send starts — and on exact [`Time`] off it;
-/// one generic sweep serves both.
 pub struct IdlePortPass;
 
 impl LintPass for IdlePortPass {
@@ -396,103 +597,110 @@ impl LintPass for IdlePortPass {
         PassStage::Quality
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        match idx.tick_lane() {
-            Some(lane) => {
-                let scale = lane.scale;
-                idle_port_scan(
-                    cx,
-                    out,
-                    [0, scale.den(), lane.lambda],
-                    |i| lane.start[i],
-                    |p| Some(lane.first_receipt[p as usize]).filter(|&h| h != NEVER),
-                    |h| scale.to_time(h),
-                );
-            }
-            None => {
-                let arena = idx.arena();
-                idle_port_scan(
-                    cx,
-                    out,
-                    [Time::ZERO, Time::ONE, idx.latency().as_time()],
-                    |i| arena[i].send_start,
-                    |p| idx.first_receipt(p),
-                    |t| t,
-                );
-            }
-        }
+    fn start(&self, n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(IdlePortRun {
+            cursor: TimeSlots::new(n as usize),
+            first_gap: HashMap::new(),
+        })
     }
 }
 
-/// The `P0006` sweep over one time representation `T`: `[zero, one, λ]`
-/// in `T`, each arena send's start, each processor's first receipt, and
-/// the exact image of a `T` for reporting.
-fn idle_port_scan<T: Copy + Ord + Add<Output = T>>(
-    cx: &PassContext<'_>,
-    out: &mut Vec<Diagnostic>,
-    [zero, one, lam]: [T; 3],
-    start_of: impl Fn(usize) -> T,
-    receipt_of: impl Fn(u32) -> Option<T>,
-    time: impl Fn(T) -> Time,
-) {
-    let idx = cx.index;
-    let n = idx.n();
+/// `P0006` per run: tracks each output port's busy cursor and its
+/// *first* idle gap as sends arrive, and resolves that gap against the
+/// coverage horizon at `finish`.
+///
+/// Only the first gap matters: the report names the earliest gap whose
+/// hypothetical delivery beats some processor's actual receipt, and
+/// that test is monotone — the receipt it compares against does not
+/// depend on the gap, so if the earliest gap fails the test every later
+/// (larger) gap fails too.
+///
+/// A port's cursor opens at its processor's informed time, read when
+/// the port's first send arrives; that value is final in both drivers
+/// unless the send breaks causality, which suppresses this stage.
+struct IdlePortRun {
+    cursor: TimeSlots,
+    first_gap: HashMap<u32, Time>,
+}
 
-    // The coverage horizon and the two latest first-receipts (distinct
-    // processors): enough to answer "does any processor other than
-    // `src` first receive after time x?" in O(1).
-    let mut completion_of_coverage = zero;
-    let mut latest: Option<(T, u32)> = None;
-    let mut second: Option<(T, u32)> = None;
-    for p in 0..n {
-        let Some(t) = receipt_of(p) else {
-            continue;
-        };
-        completion_of_coverage = completion_of_coverage.max(t);
-        if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
-            second = latest;
-            latest = Some((t, p));
-        } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
-            second = Some((t, p));
+impl IdlePortRun {
+    /// The `finish` sweep over one time representation `T`: `to` maps
+    /// a time into `T` (`None` aborts the sweep) and `time` maps back
+    /// for reporting.
+    fn scan<T: Copy + Ord + Add<Output = T>>(
+        &self,
+        cx: &StreamContext<'_>,
+        to: impl Fn(Time) -> Option<T>,
+        time: impl Fn(T) -> Time,
+    ) -> Option<Vec<Diagnostic>> {
+        let idx = cx.index;
+        let scale = idx.scale();
+        let n = idx.n();
+        let lam = to(idx.latency().as_time())?;
+        let zero = to(Time::ZERO)?;
+        let mut receipts: Vec<Option<T>> = Vec::with_capacity(n as usize);
+        for p in 0..n {
+            receipts.push(match idx.first_receipt(p) {
+                Some(t) => Some(to(t)?),
+                None => None,
+            });
         }
-    }
-    let receipt_after = |x: T, src: u32| -> Option<(T, u32)> {
-        match latest {
-            Some((t, q)) if q != src && t > x => Some((t, q)),
-            Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
-            _ => None,
-        }
-    };
 
-    let mut gap_starts: Vec<T> = Vec::new();
-    'procs: for src in 0..n {
-        let informed_at = if src == cx.opts.originator {
-            Some(zero)
-        } else {
-            receipt_of(src)
-        };
-        let Some(informed_at) = informed_at else {
-            continue;
-        };
-        // Idle gaps: [informed_at, first send), between consecutive
-        // sends, and after the last send (open-ended).
-        gap_starts.clear();
-        let mut cursor = informed_at;
-        for &i in idx.by_src(src) {
-            let start = start_of(i as usize);
-            if start > cursor {
-                gap_starts.push(cursor);
+        // The coverage horizon and the two latest first-receipts
+        // (distinct processors): enough to answer "does any processor
+        // other than `src` first receive after time x?" in O(1).
+        let mut completion_of_coverage = zero;
+        let mut latest: Option<(T, u32)> = None;
+        let mut second: Option<(T, u32)> = None;
+        for (p, t) in (0..n).zip(&receipts) {
+            let Some(t) = *t else {
+                continue;
+            };
+            completion_of_coverage = completion_of_coverage.max(t);
+            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
+                second = latest;
+                latest = Some((t, p));
+            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
+                second = Some((t, p));
             }
-            cursor = cursor.max(start + one);
         }
-        if cursor < completion_of_coverage {
-            gap_starts.push(cursor);
-        }
-        for &g in &gap_starts {
+        let receipt_after = |x: T, src: u32| -> Option<(T, u32)> {
+            match latest {
+                Some((t, q)) if q != src && t > x => Some((t, q)),
+                Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
+                _ => None,
+            }
+        };
+
+        let mut out = Vec::new();
+        for src in 0..n {
+            let informed_at = if src == cx.opts.originator {
+                Some(zero)
+            } else {
+                receipts[src as usize]
+            };
+            let Some(informed_at) = informed_at else {
+                continue;
+            };
+            // The candidate gap: the first recorded idle gap, else the
+            // open-ended gap after the last send (the port's whole
+            // informed life, for a port that never sent).
+            let gap = match self.cursor.get(src, scale) {
+                None => (informed_at < completion_of_coverage).then_some(informed_at),
+                Some(c) => match self.first_gap.get(&src) {
+                    Some(&g) => Some(to(g)?),
+                    None => {
+                        let c = to(c)?;
+                        (c < completion_of_coverage).then_some(c)
+                    }
+                },
+            };
+            let Some(g) = gap else {
+                continue;
+            };
             let hypothetical = g + lam;
-            // An uninformed-at-g processor whose eventual receipt is
-            // strictly later than the hypothetical delivery.
+            // An uninformed-at-g processor whose eventual receipt
+            // is strictly later than the hypothetical delivery.
             if let Some((t, q)) = receipt_after(hypothetical, src) {
                 let (g, hypothetical, t) = (time(g), time(hypothetical), time(t));
                 out.push(Diagnostic {
@@ -508,14 +716,72 @@ fn idle_port_scan<T: Copy + Ord + Add<Output = T>>(
                          receipt at t = {t}"
                     ),
                 });
-                continue 'procs;
             }
         }
+        Some(out)
+    }
+}
+
+impl StreamingLintPass for IdlePortRun {
+    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+        let StreamEvent::Send(s) = ev else {
+            return;
+        };
+        let src = s.src;
+        let scale = cx.index.scale();
+        // Hot path: the port has sent before and both times are ticks.
+        if let (Some(start), Some(cur)) = (scale.to_tick(s.send_start), self.cursor.tick(src)) {
+            if start > cur {
+                self.first_gap
+                    .entry(src)
+                    .or_insert_with(|| scale.to_time(cur));
+            }
+            self.cursor.put_tick(src, cur.max(start + scale.den()));
+            return;
+        }
+        let start = s.send_start;
+        let cur = match self.cursor.get(src, scale) {
+            Some(c) => c,
+            None => {
+                // First send from this port: the cursor opens at the
+                // processor's informed time (garbage-tolerant when the
+                // sender is not yet informed — that is a P0003 error
+                // and suppresses this stage).
+                let informed_at = if src == cx.opts.originator {
+                    Some(Time::ZERO)
+                } else {
+                    cx.index.first_receipt(src)
+                };
+                informed_at.unwrap_or(start)
+            }
+        };
+        if start > cur {
+            self.first_gap.entry(src).or_insert(cur);
+        }
+        self.cursor.put(src, cur.max(start + Time::ONE), scale);
+    }
+
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
+        // On ticks when every time involved has one — always, for a
+        // run the simulator produced — else exactly.
+        let scale = cx.index.scale();
+        let found = self
+            .scan(cx, |t| scale.to_tick(t), |h| scale.to_time(h))
+            .or_else(|| self.scan(cx, Some, |t| t))
+            .expect("the exact scan converts every time");
+        out.extend(found);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.cursor.memory_bytes()
+            + self.first_gap.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
     }
 }
 
 /// `P0007` — optimality gap against `f_λ(n)` (m = 1) or the Lemma 8
-/// lower bound (m > 1).
+/// lower bound (m > 1). A pure `finish`-time check of the completion
+/// maximum.
+#[derive(Clone, Copy)]
 pub struct OptimalityPass;
 
 impl LintPass for OptimalityPass {
@@ -527,14 +793,20 @@ impl LintPass for OptimalityPass {
         PassStage::Quality
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn start(&self, _n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(*self)
+    }
+}
+
+impl StreamingLintPass for OptimalityPass {
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
         let n = cx.index.n();
         let lam = cx.index.latency();
         // Only sensible when there is something to broadcast to.
         if n < 2 {
             return;
         }
-        let completion = cx.schedule.completion();
+        let completion = cx.index.completion();
         let m = cx.opts.messages.max(1);
         let optimal = if m == 1 {
             GenFib::new(lam).index(n as u128)
@@ -584,9 +856,9 @@ impl LintPass for OptimalityPass {
 }
 
 /// `P0017` — non-edge send: a transfer connects two processors that are
-/// not adjacent in the communication graph. Sweeps the well-formed
-/// arena in canonical order; malformed sends (`P0004`) have no defined
-/// endpoints on the graph and are not re-reported here.
+/// not adjacent in the communication graph. Checks well-formed sends in
+/// canonical order; malformed sends (`P0004`) have no defined endpoints
+/// on the graph and are not re-reported here.
 pub struct NonEdgeSendPass {
     /// The communication graph to check adjacency against.
     pub topo: Topology,
@@ -601,28 +873,51 @@ impl LintPass for NonEdgeSendPass {
         PassStage::Shape
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        if self.topo.is_complete() {
+    fn start(&self, _n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(NonEdgeRun {
+            topo: self.topo,
+            found: Vec::new(),
+        })
+    }
+}
+
+/// `P0017` per run: findings are detected as sends arrive, already in
+/// emission order, and appended verbatim at `finish`.
+struct NonEdgeRun {
+    topo: Topology,
+    found: Vec<Diagnostic>,
+}
+
+impl StreamingLintPass for NonEdgeRun {
+    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
+        let StreamEvent::Send(s) = ev else {
+            return;
+        };
+        if self.topo.is_complete() || self.topo.is_edge(s.src, s.dst) {
             return;
         }
         let spec = self.topo.spec();
-        for s in cx.index.arena() {
-            if !self.topo.is_edge(s.src, s.dst) {
-                out.push(Diagnostic {
-                    code: LintCode::NonEdgeSend,
-                    severity: Severity::Error,
-                    witness: None,
-                    proc: Some(s.src),
-                    sends: vec![*s],
-                    related_time: None,
-                    message: format!(
-                        "p{} sends to p{} at t = {}, but p{}-p{} is not an edge \
-                         of the {spec} topology",
-                        s.src, s.dst, s.send_start, s.src, s.dst
-                    ),
-                });
-            }
-        }
+        self.found.push(Diagnostic {
+            code: LintCode::NonEdgeSend,
+            severity: Severity::Error,
+            witness: None,
+            proc: Some(s.src),
+            sends: vec![**s],
+            related_time: None,
+            message: format!(
+                "p{} sends to p{} at t = {}, but p{}-p{} is not an edge \
+                 of the {spec} topology",
+                s.src, s.dst, s.send_start, s.src, s.dst
+            ),
+        });
+    }
+
+    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
+        out.append(&mut self.found);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.found.capacity() * size_of::<Diagnostic>()
     }
 }
 
@@ -631,6 +926,8 @@ impl LintPass for NonEdgeSendPass {
 /// Root-cause-suppresses the timing-level `P0005` for the same
 /// processor (the graph-level fact explains the timing-level absence),
 /// mirroring how `P0012` silences downstream findings in `postal-abs`.
+/// A pure `finish`-time BFS, registered after `P0005` in its stage.
+#[derive(Clone, Copy)]
 pub struct TopologyReachabilityPass {
     /// The communication graph to check reachability over.
     pub topo: Topology,
@@ -645,7 +942,13 @@ impl LintPass for TopologyReachabilityPass {
         PassStage::Broadcast
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn start(&self, _n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(*self)
+    }
+}
+
+impl StreamingLintPass for TopologyReachabilityPass {
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
         if self.topo.is_complete() {
             return;
         }
@@ -699,6 +1002,7 @@ impl LintPass for TopologyReachabilityPass {
 /// at graph distance `d` traverses `d` edges at λ per hop. The
 /// sparse-graph analogue of `P0007`'s Lemma 8 gap; never emitted for
 /// the complete graph, where `P0007`'s `f_λ(n)` bound is stronger.
+#[derive(Clone, Copy)]
 pub struct TopologyOptimalityPass {
     /// The communication graph whose eccentricity grounds the bound.
     pub topo: Topology,
@@ -713,7 +1017,13 @@ impl LintPass for TopologyOptimalityPass {
         PassStage::Quality
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
+    fn start(&self, _n: u32) -> Box<dyn StreamingLintPass + Send> {
+        Box::new(*self)
+    }
+}
+
+impl StreamingLintPass for TopologyOptimalityPass {
+    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
         let n = cx.index.n();
         if self.topo.is_complete() || n < 2 {
             return;
@@ -721,7 +1031,7 @@ impl LintPass for TopologyOptimalityPass {
         let lam = cx.index.latency();
         let spec = self.topo.spec();
         let orig = cx.opts.originator;
-        let completion = cx.schedule.completion();
+        let completion = cx.index.completion();
         let m = cx.opts.messages.max(1);
         let ecc = self.topo.eccentricity(orig);
         let bound = Time::from_int(m as i128 - 1) + lam.as_time().mul_int(ecc as i128);
@@ -769,7 +1079,6 @@ mod tests {
     use super::super::reference::lint_schedule_reference;
     use super::*;
     use crate::latency::Latency;
-    use crate::schedule::TimedSend;
 
     fn send(src: u32, dst: u32, num: i128, den: i128) -> TimedSend {
         TimedSend {
@@ -810,11 +1119,17 @@ mod tests {
 
     #[test]
     fn manager_matches_reference_off_the_half_integer_lattice() {
-        // λ = 4/3 disables the fast lane; the exact path must agree.
+        // λ = 4/3 runs on sixths; the 1/5 start has no tick there, so
+        // its comparisons and first receipt take the exact path.
         let s = Schedule::new(
             3,
             Latency::from_ratio(4, 3),
-            vec![send(0, 1, 0, 1), send(0, 2, 1, 3), send(1, 2, 2, 1)],
+            vec![
+                send(0, 1, 0, 1),
+                send(0, 2, 1, 3),
+                send(1, 2, 2, 1),
+                send(2, 0, 11, 5),
+            ],
         );
         for opts in [LintOptions::default(), LintOptions::ports_only()] {
             assert_eq!(

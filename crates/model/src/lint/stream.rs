@@ -1,326 +1,69 @@
-//! The streaming lint engine: the `P0001`–`P0007` suite as an
-//! online analysis over a send stream, with bounded memory and no
-//! materialized schedule.
+//! The watermark driver: the lint pass set run online over a send
+//! stream, with bounded memory and no materialized schedule.
 //!
-//! The batch [`PassManager`](super::PassManager) needs the whole
-//! [`Schedule`] in memory before it can build
-//! its [`ScheduleIndex`](super::ScheduleIndex). At n = 10⁶ that schedule
-//! *is* the scale bottleneck — the simulator itself runs in flat arrays.
+//! The sorted driver ([`PassManager::run`](super::PassManager::run))
+//! needs the whole [`Schedule`] in memory. At n = 10⁶ that schedule *is*
+//! the scale bottleneck — the simulator itself runs in flat arrays.
 //! [`StreamingLint`] removes it: callers push sends one at a time
 //! ([`StreamingLint::observe_send`]), advance a **watermark**
 //! ([`StreamingLint::advance_watermark`]) as simulated time progresses,
 //! and collect the final report from [`StreamingLint::finish`]. Memory
 //! is O(n + pending + findings), independent of the total send count.
+//! The passes are the same ones the sorted driver runs — one
+//! implementation per code, listed by
+//! [`PassManager::standard`](super::PassManager::standard) — and so is
+//! the staged finish.
 //!
 //! ## How order is recovered
 //!
-//! The batch engine's output contract is tied to *canonical schedule
-//! order* — sends sorted by `(send_start, src, dst)`. A live event
-//! stream is ordered by simulation time instead, and a send is observed
-//! when it is *issued*, which can precede its start time (output-port
-//! serialization). The engine therefore parks observed sends in a
-//! pending min-heap keyed on `(send_start, src, dst)` and **finalizes**
-//! — pops and feeds to the passes — every send whose key is strictly
-//! below the watermark. As long as the caller only advances the
-//! watermark to times `t` such that every send starting before `t` has
-//! already been observed (true for the engine's clock and for
+//! The report is tied to *canonical schedule order* — sends sorted by
+//! `(send_start, src, dst)`, the order a [`Schedule`] already holds. A
+//! live event stream is ordered by simulation time instead, and a send
+//! is observed when it is *issued*, which can precede its start time
+//! (output-port serialization). The driver therefore parks observed
+//! sends in a pending min-heap keyed on `(send_start, src, dst)` and
+//! **finalizes** — pops and feeds to the passes — every send whose key
+//! is strictly below the watermark. As long as the caller only advances
+//! the watermark to times `t` such that every send starting before `t`
+//! has already been observed (true for the engine's clock and for
 //! timestamp-sorted logs), finalization order is exactly canonical
-//! order, and each pass sees precisely the sweep the batch engine would
-//! run. A send observed *late* — starting below the current watermark —
-//! sets [`StreamingLint::out_of_order`]; callers should treat the
-//! report as unreliable and fall back to batch mode.
+//! order, and each pass sees precisely the sweep the sorted driver
+//! would hand it. A send observed *late* — starting below the current
+//! watermark — sets [`StreamingLint::out_of_order`]; callers should
+//! treat the report as unreliable and fall back to the sorted driver.
 //!
-//! The pending heap and every per-processor time slot count `i64` ticks
-//! of the stream's [`TickScale`] (`D = lcm(2, q)` for λ = p/q), so the
-//! hot path runs on machine integers for every rational λ. An exact
-//! [`Time`] lane remains only for externally supplied send times off
-//! that lattice; the two pending heaps merge by exact comparison at pop
-//! time.
+//! Each send is folded into the run's [`StreamIndex`] when it is
+//! observed, so passes read a running index; the [`index`](super::index)
+//! module explains why no report depends on that. The pending heap
+//! counts `i64` ticks of the stream's lattice (`D = lcm(2, q)` for
+//! λ = p/q), so the hot path runs on machine integers for every
+//! rational λ. An exact [`Time`] heap remains only for externally
+//! supplied send times off that lattice; the two heaps merge by exact
+//! comparison at pop time.
 //!
-//! ## Online vs `finish`-time passes
-//!
-//! * `P0001`/`P0002` keep one previous send per output/input port and
-//!   emit overlaps online.
-//! * `P0003` decides violations online (a receipt informing a send can
-//!   never be observed after the send is finalized — see
-//!   [`StreamingCausalityPass`]) but renders messages at `finish`, when
-//!   first-receipt times are final.
-//! * `P0004` buffers malformed sends and replays them in schedule order
-//!   at `finish`.
-//! * `P0005`/`P0007` are pure `finish`-time checks over the running
-//!   first-receipt table and completion maximum.
-//! * `P0006` tracks one port cursor and the first idle gap per
-//!   processor online, and resolves the gap against the coverage
-//!   horizon at `finish`.
-//!
-//! The staged semantics (shape → broadcast → quality, with quality
-//! suppressed by any error) and the final stable sort replicate
-//! [`PassManager::run_with_index`](super::PassManager::run_with_index)
-//! exactly; `tests/lint_stream_differential.rs` pins the streamed
-//! diagnostics byte-identical (rendered and JSON) to the batch output
-//! over the full acceptance grid.
+//! `tests/lint_stream_differential.rs` pins the streamed diagnostics
+//! byte-identical (rendered and JSON) to the sorted driver's over the
+//! full acceptance grid.
 
-use super::passes::PassStage;
-use super::{diag_order, Diagnostic, LintCode, LintOptions, Severity};
-use crate::fib::GenFib;
+use super::passes::{PassManager, StartedPasses, StreamContext, StreamEvent};
+use super::{Diagnostic, LintOptions};
 use crate::latency::Latency;
-use crate::runtimes;
+use crate::lint::index::StreamIndex;
 use crate::schedule::{Schedule, TimedSend};
-use crate::time::{TickScale, Time};
-use crate::topology::{Topology, UNREACHABLE};
+use crate::time::Time;
+use crate::topology::Topology;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::mem::size_of;
-use std::ops::Add;
 
-/// Sentinel for "no value" in a [`TimeSlots`] tick lane. Larger than
-/// any representable tick count.
-const EMPTY: i64 = i64::MAX;
-/// Sentinel for "value lives in the exact side table".
-const EXACT: i64 = i64::MAX - 1;
-
-/// Per-processor time storage: an `i64` tick lane with an exact side
-/// table for off-lattice values. Costs 8 bytes per processor plus one
-/// hash entry per processor that ever held an off-lattice time (none
-/// for a stream the simulator produced). Every method takes the
-/// stream's scale.
-struct TimeSlots {
-    ticks: Vec<i64>,
-    exact: HashMap<u32, Time>,
-}
-
-impl TimeSlots {
-    fn new(n: usize) -> TimeSlots {
-        TimeSlots {
-            ticks: vec![EMPTY; n],
-            exact: HashMap::new(),
-        }
-    }
-
-    /// Slot `p` in ticks, when it holds a lattice value.
-    fn tick(&self, p: u32) -> Option<i64> {
-        Some(self.ticks[p as usize]).filter(|&h| h != EMPTY && h != EXACT)
-    }
-
-    fn get(&self, p: u32, scale: TickScale) -> Option<Time> {
-        match self.ticks[p as usize] {
-            EMPTY => None,
-            EXACT => self.exact.get(&p).copied(),
-            h => Some(scale.to_time(h)),
-        }
-    }
-
-    fn put(&mut self, p: u32, t: Time, scale: TickScale) {
-        match scale.to_tick(t) {
-            Some(h) if self.ticks[p as usize] != EXACT => self.ticks[p as usize] = h,
-            _ => {
-                self.ticks[p as usize] = EXACT;
-                self.exact.insert(p, t);
-            }
-        }
-    }
-
-    /// Lowers slot `p` toward tick `h` without leaving the integer lane
-    /// (`EMPTY` is `i64::MAX`, so the bare `min` covers the unset case).
-    fn set_min_tick(&mut self, p: u32, h: i64, scale: TickScale) {
-        let slot = &mut self.ticks[p as usize];
-        if *slot == EXACT {
-            let t = scale.to_time(h);
-            let e = self.exact.get_mut(&p).expect("EXACT slot has an entry");
-            if t < *e {
-                *e = t;
-            }
-        } else if h < *slot {
-            *slot = h;
-        }
-    }
-
-    /// Lowers slot `p` toward `t`.
-    fn set_min(&mut self, p: u32, t: Time, scale: TickScale) {
-        match scale.to_tick(t) {
-            Some(h) => self.set_min_tick(p, h, scale),
-            None => match self.get(p, scale) {
-                Some(c) if c <= t => {}
-                _ => self.put(p, t, scale),
-            },
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.ticks.capacity() * size_of::<i64>()
-            + self.exact.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
-    }
-}
-
-/// The running per-stream state every streaming pass shares: processor
-/// count, λ and its lattice, per-processor first-receipt times (updated
-/// as sends are observed — the minimum is order-independent) and the
-/// running completion maximum over *all* observed sends, malformed
-/// included (mirroring [`Schedule::completion`]).
-pub struct StreamIndex {
-    n: u32,
-    latency: Latency,
-    scale: TickScale,
-    lam_tick: Option<i64>,
-    first_receipt: TimeSlots,
-    completion_tick: i64,
-    completion_exact: Option<Time>,
-    sends: u64,
-    malformed: u64,
-}
-
-impl StreamIndex {
-    fn new(n: u32, latency: Latency) -> StreamIndex {
-        // A λ whose lattice overflows an i64 keeps half-unit ticks: its
-        // own times then take the exact lanes.
-        let scale = TickScale::for_latency(latency).unwrap_or(TickScale::HALF);
-        StreamIndex {
-            n,
-            latency,
-            scale,
-            lam_tick: scale.to_tick(latency.as_time()),
-            first_receipt: TimeSlots::new(n as usize),
-            completion_tick: i64::MIN,
-            completion_exact: None,
-            sends: 0,
-            malformed: 0,
-        }
-    }
-
-    /// Folds one observed send, with its start in ticks when it has
-    /// one, into the running aggregates.
-    fn record(&mut self, s: &TimedSend, start_tick: Option<i64>, well_formed: bool) {
-        let finish = match (self.lam_tick, start_tick) {
-            // Both ≤ TICK_LIMIT = i64::MAX/4 in magnitude: no overflow.
-            (Some(l), Some(h)) => Some(h + l),
-            _ => None,
-        };
-        match finish {
-            Some(h) => self.completion_tick = self.completion_tick.max(h),
-            None => {
-                let rf = s.recv_finish(self.latency);
-                self.completion_exact = Some(match self.completion_exact {
-                    Some(c) => c.max(rf),
-                    None => rf,
-                });
-            }
-        }
-        if well_formed {
-            self.sends += 1;
-            match finish {
-                Some(h) => self.first_receipt.set_min_tick(s.dst, h, self.scale),
-                None => self
-                    .first_receipt
-                    .set_min(s.dst, s.recv_finish(self.latency), self.scale),
-            }
-        } else {
-            self.malformed += 1;
-        }
-    }
-
-    /// Processor count of the stream under lint.
-    pub fn n(&self) -> u32 {
-        self.n
-    }
-
-    /// λ of the stream under lint.
-    pub fn latency(&self) -> Latency {
-        self.latency
-    }
-
-    /// The tick lattice the stream's times are counted on.
-    pub fn scale(&self) -> TickScale {
-        self.scale
-    }
-
-    /// When processor `p` first finishes receiving anything *observed
-    /// so far*, if ever. Final once the stream ends.
-    pub fn first_receipt(&self, p: u32) -> Option<Time> {
-        self.first_receipt.get(p, self.scale)
-    }
-
-    /// The latest receive finish over every observed send (malformed
-    /// included), or zero for an empty stream — the streaming image of
-    /// [`Schedule::completion`].
-    pub fn completion(&self) -> Time {
-        let fast =
-            (self.completion_tick != i64::MIN).then(|| self.scale.to_time(self.completion_tick));
-        match (fast, self.completion_exact) {
-            (Some(a), Some(b)) => a.max(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => Time::ZERO,
-        }
-    }
-
-    /// Well-formed sends observed so far.
-    pub fn sends_observed(&self) -> u64 {
-        self.sends
-    }
-
-    /// Malformed sends observed so far.
-    pub fn malformed_observed(&self) -> u64 {
-        self.malformed
-    }
-
-    /// Currently reserved heap bytes, by container capacity.
-    pub fn memory_bytes(&self) -> usize {
-        self.first_receipt.memory_bytes()
-    }
-}
-
-/// One unit of streamed input, handed to every registered pass.
-pub enum StreamEvent<'a> {
-    /// A well-formed send, finalized in canonical
-    /// `(send_start, src, dst)` order — the batch arena sweep order.
-    Send(&'a TimedSend),
-    /// A structurally malformed send (`P0004` material), delivered at
-    /// observation time in stream order.
-    Malformed(&'a TimedSend),
-}
-
-/// What a streaming pass may look at alongside each event: the shared
-/// running index and the caller's options.
-pub struct StreamContext<'a> {
-    /// The shared running aggregates.
-    pub index: &'a StreamIndex,
-    /// What the stream is being linted as.
-    pub opts: &'a LintOptions,
-}
-
-/// One incremental check over the send stream: the streaming
-/// counterpart of [`LintPass`](super::LintPass).
+/// The watermark driver: feeds observed sends through the started
+/// passes in canonical order, with bounded memory.
 ///
-/// `on_event` is called once per observed send — malformed sends at
-/// observation time, well-formed sends on finalization in canonical
-/// order — and `finish` once at end of stream. A pass must emit its
-/// `finish` diagnostics in the batch engine's canonical *emission*
-/// order for its code; the engine's final stable sort then reproduces
-/// the batch report byte for byte.
-pub trait StreamingLintPass {
-    /// Short stable name, matching the batch pass it mirrors.
-    fn name(&self) -> &'static str;
-    /// When in the staged sweep this pass's findings land.
-    fn stage(&self) -> PassStage;
-    /// Consumes one streamed send.
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>);
-    /// Appends this pass's findings to `out` at end of stream.
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>);
-    /// Currently reserved heap bytes, by container capacity.
-    fn memory_bytes(&self) -> usize {
-        0
-    }
-}
-
-/// The streaming lint engine: feeds observed sends through the
-/// registered [`StreamingLintPass`]es with bounded memory.
-///
-/// See the [module docs](self) for the watermark/finalization protocol
-/// and the pass-by-pass incremental strategy.
+/// See the [module docs](self) for the watermark/finalization protocol.
 pub struct StreamingLint {
     opts: LintOptions,
     index: StreamIndex,
-    passes: Vec<Box<dyn StreamingLintPass + Send>>,
+    passes: StartedPasses,
     /// Pending sends on the stream's lattice, keyed
     /// `(start_tick, src, dst)`.
     pending_fast: BinaryHeap<Reverse<(i64, u32, u32)>>,
@@ -333,61 +76,42 @@ pub struct StreamingLint {
 }
 
 impl StreamingLint {
-    /// Creates an engine over `MPS(n, λ)` with the standard pass suite
-    /// — the streaming image of
-    /// [`PassManager::standard`](super::PassManager::standard). When
-    /// `opts.broadcast` is off only the shape passes are registered,
-    /// matching the batch staging.
+    /// Creates a driver over `MPS(n, λ)` with the passes of
+    /// [`PassManager::standard`](super::PassManager::standard).
     pub fn new(n: u32, latency: Latency, opts: LintOptions) -> StreamingLint {
-        let mut passes: Vec<Box<dyn StreamingLintPass + Send>> = vec![
-            Box::new(StreamingMalformedPass::new()),
-            Box::new(StreamingOutputPortPass::new(n as usize)),
-            Box::new(StreamingInputWindowPass::new(n as usize)),
-        ];
-        if opts.broadcast {
-            passes.push(Box::new(StreamingCausalityPass::new()));
-            passes.push(Box::new(StreamingCoveragePass));
-            passes.push(Box::new(StreamingIdlePortPass::new(n as usize)));
-            passes.push(Box::new(StreamingOptimalityPass));
-        }
-        StreamingLint {
-            opts,
-            index: StreamIndex::new(n, latency),
-            passes,
-            pending_fast: BinaryHeap::new(),
-            pending_exact: BinaryHeap::new(),
-            watermark: Time::ZERO,
-            watermark_tick: Some(0),
-            out_of_order: false,
-        }
+        StreamingLint::with_passes(&PassManager::standard(), n, latency, opts)
     }
 
-    /// [`StreamingLint::new`] plus the topology-grounded passes — the
-    /// streaming image of
-    /// [`PassManager::standard_with_topology`](super::PassManager::standard_with_topology),
-    /// with identical registration order per stage. On the complete
-    /// graph the extra passes are vacuous and the output is
-    /// byte-identical to [`StreamingLint::new`]'s.
+    /// A driver with the passes of
+    /// [`PassManager::standard_with_topology`](super::PassManager::standard_with_topology).
+    /// On the complete graph the extra passes are vacuous and the
+    /// output is byte-identical to [`StreamingLint::new`]'s.
     pub fn with_topology(
         n: u32,
         latency: Latency,
         opts: LintOptions,
         topology: &Topology,
     ) -> StreamingLint {
-        let topo = *topology;
-        let mut engine = StreamingLint::new(n, latency, opts);
-        engine
-            .passes
-            .push(Box::new(StreamingNonEdgePass::new(topo)));
-        if opts.broadcast {
-            engine
-                .passes
-                .push(Box::new(StreamingTopologyReachabilityPass { topo }));
-            engine
-                .passes
-                .push(Box::new(StreamingTopologyOptimalityPass { topo }));
+        let passes = PassManager::standard_with_topology(topology);
+        StreamingLint::with_passes(&passes, n, latency, opts)
+    }
+
+    fn with_passes(
+        passes: &PassManager,
+        n: u32,
+        latency: Latency,
+        opts: LintOptions,
+    ) -> StreamingLint {
+        StreamingLint {
+            opts,
+            index: StreamIndex::new(n, latency),
+            passes: passes.start(n, &opts),
+            pending_fast: BinaryHeap::new(),
+            pending_exact: BinaryHeap::new(),
+            watermark: Time::ZERO,
+            watermark_tick: Some(0),
+            out_of_order: false,
         }
-        engine
     }
 
     /// Observes one send. Malformed sends are classified and dispatched
@@ -399,23 +123,9 @@ impl StreamingLint {
             dst,
             send_start,
         };
-        let n = self.index.n;
-        let start_tick = self.index.scale.to_tick(send_start);
-        let non_negative = match start_tick {
-            Some(h) => h >= 0,
-            None => send_start >= Time::ZERO,
-        };
-        let well_formed = src < n && dst < n && src != dst && non_negative;
-        self.index.record(&s, start_tick, well_formed);
+        let (start_tick, well_formed) = self.index.record(&s);
         if !well_formed {
-            let cx = StreamContext {
-                index: &self.index,
-                opts: &self.opts,
-            };
-            let ev = StreamEvent::Malformed(&s);
-            for pass in &mut self.passes {
-                pass.on_event(&cx, &ev);
-            }
+            self.dispatch(&StreamEvent::Malformed(&s));
             return;
         }
         let late = match (start_tick, self.watermark_tick) {
@@ -439,7 +149,7 @@ impl StreamingLint {
     /// observed; the engine's simulation clock and the timestamps of a
     /// sorted event log both satisfy this.
     pub fn advance_watermark(&mut self, t: Time) {
-        let tick = self.index.scale.to_tick(t);
+        let tick = self.index.scale().to_tick(t);
         let later = match (tick, self.watermark_tick) {
             (Some(h), Some(w)) => h > w,
             _ => t > self.watermark,
@@ -452,27 +162,27 @@ impl StreamingLint {
         // on-lattice.
         if self.pending_exact.is_empty() {
             if let Some(w) = self.watermark_tick {
-                let scale = self.index.scale;
+                let scale = self.index.scale();
                 while let Some(&Reverse((h, src, dst))) = self.pending_fast.peek() {
                     if h >= w {
                         return;
                     }
                     self.pending_fast.pop();
-                    self.dispatch_send(TimedSend {
+                    self.dispatch(&StreamEvent::Send(&TimedSend {
                         src,
                         dst,
                         send_start: scale.to_time(h),
-                    });
+                    }));
                 }
                 return;
             }
         }
-        while let Some((key, s)) = self.peek_min() {
-            if key >= self.watermark {
+        while let Some(s) = self.peek_min() {
+            if s.send_start >= self.watermark {
                 return;
             }
             self.pop_min();
-            self.dispatch_send(s);
+            self.dispatch(&StreamEvent::Send(&s));
         }
     }
 
@@ -480,74 +190,51 @@ impl StreamingLint {
     /// an exact-lane entry can never carry the same start time (a time
     /// either has a tick on the stream's lattice or it does not), so the
     /// merge is unambiguous.
-    fn peek_min(&self) -> Option<(Time, TimedSend)> {
-        let scale = self.index.scale;
-        let fast = self.pending_fast.peek().map(|&Reverse((h, src, dst))| {
-            let t = scale.to_time(h);
-            (
-                t,
-                TimedSend {
-                    src,
-                    dst,
-                    send_start: t,
-                },
-            )
-        });
-        let exact = self.pending_exact.peek().map(|&Reverse((t, src, dst))| {
-            (
-                t,
-                TimedSend {
-                    src,
-                    dst,
-                    send_start: t,
-                },
-            )
-        });
-        match (fast, exact) {
-            (Some(f), Some(e)) => {
-                let fk = (f.0, f.1.src, f.1.dst);
-                let ek = (e.0, e.1.src, e.1.dst);
-                Some(if fk < ek { f } else { e })
-            }
-            (Some(f), None) => Some(f),
-            (None, Some(e)) => Some(e),
-            (None, None) => None,
-        }
+    fn peek_min(&self) -> Option<TimedSend> {
+        let scale = self.index.scale();
+        let fast = self
+            .pending_fast
+            .peek()
+            .map(|&Reverse((h, src, dst))| (scale.to_time(h), src, dst));
+        let exact = self.pending_exact.peek().map(|&Reverse(key)| key);
+        let (send_start, src, dst) = match (fast, exact) {
+            (Some(f), Some(e)) => f.min(e),
+            (f, e) => f.or(e)?,
+        };
+        Some(TimedSend {
+            src,
+            dst,
+            send_start,
+        })
     }
 
     fn pop_min(&mut self) {
         match (self.pending_fast.peek(), self.pending_exact.peek()) {
-            (Some(&Reverse((h, fs, fd))), Some(&Reverse((t, es, ed)))) => {
-                if (self.index.scale.to_time(h), fs, fd) < (t, es, ed) {
-                    self.pending_fast.pop();
-                } else {
-                    self.pending_exact.pop();
-                }
-            }
-            (Some(_), None) => {
-                self.pending_fast.pop();
-            }
-            (None, Some(_)) => {
+            (Some(&Reverse((h, fs, fd))), Some(&Reverse(e)))
+                if (self.index.scale().to_time(h), fs, fd) > e =>
+            {
                 self.pending_exact.pop();
             }
-            (None, None) => {}
+            (Some(_), _) => {
+                self.pending_fast.pop();
+            }
+            (None, _) => {
+                self.pending_exact.pop();
+            }
         }
     }
 
-    fn dispatch_send(&mut self, s: TimedSend) {
+    fn dispatch(&mut self, ev: &StreamEvent<'_>) {
         let cx = StreamContext {
             index: &self.index,
             opts: &self.opts,
         };
-        let ev = StreamEvent::Send(&s);
-        for pass in &mut self.passes {
-            pass.on_event(&cx, &ev);
-        }
+        self.passes.on_event(&cx, ev);
     }
 
     /// True when a send was observed after the watermark had already
     /// passed its start: the streamed report is unreliable and the
-    /// caller should fall back to batch linting.
+    /// caller should fall back to the sorted driver.
     pub fn out_of_order(&self) -> bool {
         self.out_of_order
     }
@@ -570,50 +257,22 @@ impl StreamingLint {
         self.pending_fast.capacity() * size_of::<Reverse<(i64, u32, u32)>>()
             + self.pending_exact.capacity() * size_of::<Reverse<(Time, u32, u32)>>()
             + self.index.memory_bytes()
-            + self.passes.iter().map(|p| p.memory_bytes()).sum::<usize>()
+            + self.passes.memory_bytes()
     }
 
-    /// Finalizes every pending send, runs each pass's `finish` in the
-    /// batch engine's staged order, and returns the report.
-    ///
-    /// The staging replicates
-    /// [`PassManager::run_with_index`](super::PassManager::run_with_index):
-    /// shape findings first (returned unsorted when the stream is not
-    /// linted as a broadcast — the engine's historical ports-only
-    /// contract), then broadcast validity, then — only when no error
-    /// was found — the quality lints, with one final stable sort into
-    /// report order.
+    /// Finalizes every pending send and runs the staged finish the
+    /// sorted driver runs (see [`passes`](super::passes)).
     pub fn finish(mut self) -> Vec<Diagnostic> {
         // Drain: everything still pending is final now.
-        while let Some((_, s)) = self.peek_min() {
+        while let Some(s) = self.peek_min() {
             self.pop_min();
-            self.dispatch_send(s);
+            self.dispatch(&StreamEvent::Send(&s));
         }
-        let mut passes = std::mem::take(&mut self.passes);
         let cx = StreamContext {
             index: &self.index,
             opts: &self.opts,
         };
-        let mut diags = Vec::new();
-        let mut run_stage = |stage: PassStage, out: &mut Vec<Diagnostic>| {
-            for pass in &mut passes {
-                if pass.stage() == stage {
-                    pass.finish(&cx, out);
-                }
-            }
-        };
-        run_stage(PassStage::Shape, &mut diags);
-        if !self.opts.broadcast {
-            return diags;
-        }
-        run_stage(PassStage::Broadcast, &mut diags);
-        if diags.iter().any(|d| d.severity == Severity::Error) {
-            diags.sort_by_key(diag_order);
-            return diags;
-        }
-        run_stage(PassStage::Quality, &mut diags);
-        diags.sort_by_key(diag_order);
-        diags
+        self.passes.finish(&cx)
     }
 }
 
@@ -646,817 +305,9 @@ pub fn lint_schedule_streaming_with_topology(
     lint.finish()
 }
 
-/// Whether `b` starts less than one unit after `a` — the shared
-/// `P0001`/`P0002` window condition, on machine integers whenever both
-/// starts sit on the stream's lattice.
-fn lt_one_apart(a: Time, b: Time, scale: TickScale) -> bool {
-    match (scale.to_tick(a), scale.to_tick(b)) {
-        (Some(x), Some(y)) => y < x + scale.den(),
-        _ => b < a + Time::ONE,
-    }
-}
-
-/// `P0004`, streaming: malformed sends buffer at observation and
-/// replay in schedule order at `finish`.
-pub struct StreamingMalformedPass {
-    found: Vec<TimedSend>,
-}
-
-impl StreamingMalformedPass {
-    /// Creates the pass with an empty buffer.
-    pub fn new() -> StreamingMalformedPass {
-        StreamingMalformedPass { found: Vec::new() }
-    }
-}
-
-impl Default for StreamingMalformedPass {
-    fn default() -> StreamingMalformedPass {
-        StreamingMalformedPass::new()
-    }
-}
-
-impl StreamingLintPass for StreamingMalformedPass {
-    fn name(&self) -> &'static str {
-        "malformed-send"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        if let StreamEvent::Malformed(s) = ev {
-            self.found.push(**s);
-        }
-    }
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Schedule order: `Schedule::new` sorts by (start, src, dst)
-        // and the batch index preserves that order in its malformed
-        // partition.
-        self.found.sort_by_key(|s| (s.send_start, s.src, s.dst));
-        let n = cx.index.n();
-        let lam = cx.index.latency();
-        for s in &self.found {
-            let what = if s.src == s.dst {
-                "self-send"
-            } else if s.src >= n || s.dst >= n {
-                "endpoint out of range"
-            } else {
-                "negative start time"
-            };
-            out.push(Diagnostic {
-                code: LintCode::MalformedSend,
-                severity: Severity::Error,
-                witness: None,
-                proc: Some(s.src),
-                sends: vec![*s],
-                related_time: None,
-                message: format!(
-                    "{what}: p{} -> p{} at t = {} in MPS({n}, {lam})",
-                    s.src, s.dst, s.send_start
-                ),
-            });
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.found.capacity() * size_of::<TimedSend>()
-    }
-}
-
-/// `P0001`, streaming: one previous send per output port; overlaps are
-/// detected online and grouped by processor at `finish`.
-pub struct StreamingOutputPortPass {
-    prev_start: TimeSlots,
-    prev_dst: Vec<u32>,
-    found: Vec<(u32, Diagnostic)>,
-}
-
-impl StreamingOutputPortPass {
-    /// Creates the pass for `n` processors.
-    pub fn new(n: usize) -> StreamingOutputPortPass {
-        StreamingOutputPortPass {
-            prev_start: TimeSlots::new(n),
-            prev_dst: vec![0; n],
-            found: Vec::new(),
-        }
-    }
-}
-
-impl StreamingLintPass for StreamingOutputPortPass {
-    fn name(&self) -> &'static str {
-        "output-port"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(b) = ev else {
-            return;
-        };
-        let scale = cx.index.scale();
-        let src = b.src;
-        if let Some(a_start) = self.prev_start.get(src, scale) {
-            if lt_one_apart(a_start, b.send_start, scale) {
-                let a = TimedSend {
-                    src,
-                    dst: self.prev_dst[src as usize],
-                    send_start: a_start,
-                };
-                self.found.push((
-                    src,
-                    Diagnostic {
-                        code: LintCode::OutputPortOverlap,
-                        severity: Severity::Error,
-                        witness: None,
-                        proc: Some(src),
-                        sends: vec![a, **b],
-                        related_time: None,
-                        message: format!(
-                            "p{src} starts sends at t = {} and t = {} ({} < 1 unit apart)",
-                            a.send_start,
-                            b.send_start,
-                            b.send_start - a.send_start,
-                        ),
-                    },
-                ));
-            }
-        }
-        self.prev_start.put(src, b.send_start, scale);
-        self.prev_dst[src as usize] = b.dst;
-    }
-
-    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        // The batch pass emits per src in ascending order; the stable
-        // sort keeps each processor's overlaps in detection (= bucket)
-        // order.
-        self.found.sort_by_key(|(src, _)| *src);
-        out.extend(self.found.drain(..).map(|(_, d)| d));
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.prev_start.memory_bytes()
-            + self.prev_dst.capacity() * size_of::<u32>()
-            + self.found.capacity() * size_of::<(u32, Diagnostic)>()
-    }
-}
-
-/// `P0002`, streaming: one previous receive window per input port;
-/// overlaps are detected online and grouped by processor at `finish`.
-pub struct StreamingInputWindowPass {
-    prev_start: TimeSlots,
-    prev_src: Vec<u32>,
-    found: Vec<(u32, Diagnostic)>,
-}
-
-impl StreamingInputWindowPass {
-    /// Creates the pass for `n` processors.
-    pub fn new(n: usize) -> StreamingInputWindowPass {
-        StreamingInputWindowPass {
-            prev_start: TimeSlots::new(n),
-            prev_src: vec![0; n],
-            found: Vec::new(),
-        }
-    }
-}
-
-impl StreamingLintPass for StreamingInputWindowPass {
-    fn name(&self) -> &'static str {
-        "input-window"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(b) = ev else {
-            return;
-        };
-        let scale = cx.index.scale();
-        let dst = b.dst;
-        if let Some(a_start) = self.prev_start.get(dst, scale) {
-            // Receive finishes are send starts shifted by the constant
-            // λ, so the window condition is the same
-            // less-than-one-unit-apart comparison.
-            if lt_one_apart(a_start, b.send_start, scale) {
-                let a = TimedSend {
-                    src: self.prev_src[dst as usize],
-                    dst,
-                    send_start: a_start,
-                };
-                let lam = cx.index.latency();
-                let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
-                self.found.push((
-                    dst,
-                    Diagnostic {
-                        code: LintCode::InputWindowOverlap,
-                        severity: Severity::Error,
-                        witness: None,
-                        proc: Some(dst),
-                        sends: vec![a, **b],
-                        related_time: None,
-                        message: format!(
-                            "p{dst}'s receive windows [{}, {}] and [{}, {}] overlap",
-                            f0 - Time::ONE,
-                            f0,
-                            f1 - Time::ONE,
-                            f1,
-                        ),
-                    },
-                ));
-            }
-        }
-        self.prev_start.put(dst, b.send_start, scale);
-        self.prev_src[dst as usize] = b.src;
-    }
-
-    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        self.found.sort_by_key(|(dst, _)| *dst);
-        out.extend(self.found.drain(..).map(|(_, d)| d));
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.prev_start.memory_bytes()
-            + self.prev_src.capacity() * size_of::<u32>()
-            + self.found.capacity() * size_of::<(u32, Diagnostic)>()
-    }
-}
-
-/// `P0003`, streaming: the violation *decision* is made online — when a
-/// send is finalized at watermark `w > start`, every receipt finishing
-/// at or before `start` has already been observed (its informing send
-/// started at least λ earlier), so "the sender did not hold the message
-/// yet" is final. The message *text* needs the sender's eventual
-/// first-receipt time, so violations buffer in finalization (= arena)
-/// order and render at `finish`.
-pub struct StreamingCausalityPass {
-    found: Vec<TimedSend>,
-}
-
-impl StreamingCausalityPass {
-    /// Creates the pass with an empty buffer.
-    pub fn new() -> StreamingCausalityPass {
-        StreamingCausalityPass { found: Vec::new() }
-    }
-}
-
-impl Default for StreamingCausalityPass {
-    fn default() -> StreamingCausalityPass {
-        StreamingCausalityPass::new()
-    }
-}
-
-impl StreamingLintPass for StreamingCausalityPass {
-    fn name(&self) -> &'static str {
-        "causality"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Broadcast
-    }
-
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
-            return;
-        };
-        if s.src == cx.opts.originator {
-            return;
-        }
-        let informed = matches!(cx.index.first_receipt(s.src), Some(t) if t <= s.send_start);
-        if !informed {
-            self.found.push(**s);
-        }
-    }
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        for s in &self.found {
-            let knows_at = cx.index.first_receipt(s.src);
-            out.push(Diagnostic {
-                code: LintCode::CausalityViolation,
-                severity: Severity::Error,
-                witness: None,
-                proc: Some(s.src),
-                sends: vec![*s],
-                related_time: knows_at,
-                message: match knows_at {
-                    Some(t) => format!(
-                        "p{} sends at t = {} but first holds the message at t = {}",
-                        s.src, s.send_start, t
-                    ),
-                    None => format!(
-                        "p{} sends at t = {} but never receives the message",
-                        s.src, s.send_start
-                    ),
-                },
-            });
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.found.capacity() * size_of::<TimedSend>()
-    }
-}
-
-/// `P0005`, streaming: a pure `finish`-time sweep of the running
-/// first-receipt table.
-pub struct StreamingCoveragePass;
-
-impl StreamingLintPass for StreamingCoveragePass {
-    fn name(&self) -> &'static str {
-        "coverage"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Broadcast
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let idx = cx.index;
-        for p in 0..idx.n() {
-            if p != cx.opts.originator && idx.first_receipt(p).is_none() {
-                out.push(Diagnostic {
-                    code: LintCode::UninformedProcessor,
-                    severity: Severity::Error,
-                    witness: None,
-                    proc: Some(p),
-                    sends: Vec::new(),
-                    related_time: None,
-                    message: format!("p{p} never receives the broadcast message"),
-                });
-            }
-        }
-    }
-}
-
-/// `P0006`, streaming: tracks each output port's busy cursor and its
-/// *first* idle gap online, and resolves that gap against the coverage
-/// horizon at `finish`.
-///
-/// Only the first gap matters: the batch pass reports the earliest gap
-/// whose hypothetical delivery beats some processor's actual receipt,
-/// and that test is monotone — the receipt it compares against does not
-/// depend on the gap, so if the earliest gap fails the test every later
-/// (larger) gap fails too.
-///
-/// The per-processor informed time is read from the running
-/// first-receipt table when the port's first send finalizes. In an
-/// error-free run that value is already final (causality holds, so the
-/// informing receipt precedes the first send, and later receipts finish
-/// strictly later); in a run with errors the quality stage is
-/// suppressed and the state is never read.
-pub struct StreamingIdlePortPass {
-    cursor: TimeSlots,
-    first_gap: HashMap<u32, Time>,
-}
-
-impl StreamingIdlePortPass {
-    /// Creates the pass for `n` processors.
-    pub fn new(n: usize) -> StreamingIdlePortPass {
-        StreamingIdlePortPass {
-            cursor: TimeSlots::new(n),
-            first_gap: HashMap::new(),
-        }
-    }
-
-    /// The `finish` sweep over one time representation `T`: `to` maps
-    /// a time into `T` (`None` aborts the sweep) and `time` maps back
-    /// for reporting.
-    fn scan<T: Copy + Ord + Add<Output = T>>(
-        &self,
-        cx: &StreamContext<'_>,
-        to: impl Fn(Time) -> Option<T>,
-        time: impl Fn(T) -> Time,
-    ) -> Option<Vec<Diagnostic>> {
-        let idx = cx.index;
-        let scale = idx.scale();
-        let n = idx.n();
-        let lam = to(idx.latency().as_time())?;
-        let zero = to(Time::ZERO)?;
-        let mut receipts: Vec<Option<T>> = Vec::with_capacity(n as usize);
-        for p in 0..n {
-            receipts.push(match idx.first_receipt(p) {
-                Some(t) => Some(to(t)?),
-                None => None,
-            });
-        }
-
-        // The coverage horizon and the two latest first-receipts
-        // (distinct processors): enough to answer "does any processor
-        // other than `src` first receive after time x?" in O(1).
-        let mut completion_of_coverage = zero;
-        let mut latest: Option<(T, u32)> = None;
-        let mut second: Option<(T, u32)> = None;
-        for (p, t) in (0..n).zip(&receipts) {
-            let Some(t) = *t else {
-                continue;
-            };
-            completion_of_coverage = completion_of_coverage.max(t);
-            if latest.is_none_or(|(lt, lp)| (t, p) > (lt, lp)) {
-                second = latest;
-                latest = Some((t, p));
-            } else if second.is_none_or(|(st, sp)| (t, p) > (st, sp)) {
-                second = Some((t, p));
-            }
-        }
-        let receipt_after = |x: T, src: u32| -> Option<(T, u32)> {
-            match latest {
-                Some((t, q)) if q != src && t > x => Some((t, q)),
-                Some((_, q)) if q == src => second.filter(|&(t, _)| t > x),
-                _ => None,
-            }
-        };
-
-        let mut out = Vec::new();
-        for src in 0..n {
-            let informed_at = if src == cx.opts.originator {
-                Some(zero)
-            } else {
-                receipts[src as usize]
-            };
-            let Some(informed_at) = informed_at else {
-                continue;
-            };
-            // The candidate gap: the first recorded idle gap, else the
-            // open-ended gap after the last send (the port's whole
-            // informed life, for a port that never sent).
-            let gap = match self.cursor.get(src, scale) {
-                None => (informed_at < completion_of_coverage).then_some(informed_at),
-                Some(c) => match self.first_gap.get(&src) {
-                    Some(&g) => Some(to(g)?),
-                    None => {
-                        let c = to(c)?;
-                        (c < completion_of_coverage).then_some(c)
-                    }
-                },
-            };
-            let Some(g) = gap else {
-                continue;
-            };
-            let hypothetical = g + lam;
-            // An uninformed-at-g processor whose eventual receipt
-            // is strictly later than the hypothetical delivery.
-            if let Some((t, q)) = receipt_after(hypothetical, src) {
-                let (g, hypothetical, t) = (time(g), time(hypothetical), time(t));
-                out.push(Diagnostic {
-                    code: LintCode::IdlePortWaste,
-                    severity: Severity::Warn,
-                    witness: None,
-                    proc: Some(src),
-                    sends: Vec::new(),
-                    related_time: Some(g),
-                    message: format!(
-                        "p{src} is informed and idle from t = {g} although a send then \
-                         would reach p{q} at t = {hypothetical}, earlier than its actual \
-                         receipt at t = {t}"
-                    ),
-                });
-            }
-        }
-        Some(out)
-    }
-}
-
-impl StreamingLintPass for StreamingIdlePortPass {
-    fn name(&self) -> &'static str {
-        "idle-port"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Quality
-    }
-
-    fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
-            return;
-        };
-        let src = s.src;
-        let scale = cx.index.scale();
-        // Hot path: the port has sent before and both times are ticks.
-        if let (Some(start), Some(cur)) = (scale.to_tick(s.send_start), self.cursor.tick(src)) {
-            if start > cur {
-                self.first_gap
-                    .entry(src)
-                    .or_insert_with(|| scale.to_time(cur));
-            }
-            self.cursor.ticks[src as usize] = cur.max(start + scale.den());
-            return;
-        }
-        let start = s.send_start;
-        let cur = match self.cursor.get(src, scale) {
-            Some(c) => c,
-            None => {
-                // First send from this port: the cursor opens at the
-                // processor's informed time (garbage-tolerant when the
-                // sender is not yet informed — that is a P0003 error
-                // and suppresses this stage).
-                let informed_at = if src == cx.opts.originator {
-                    Some(Time::ZERO)
-                } else {
-                    cx.index.first_receipt(src)
-                };
-                informed_at.unwrap_or(start)
-            }
-        };
-        if start > cur {
-            self.first_gap.entry(src).or_insert(cur);
-        }
-        self.cursor.put(src, cur.max(start + Time::ONE), scale);
-    }
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        // On ticks when every time involved has one — always, for a
-        // stream the simulator produced — else exactly.
-        let scale = cx.index.scale();
-        let found = self
-            .scan(cx, |t| scale.to_tick(t), |h| scale.to_time(h))
-            .or_else(|| self.scan(cx, Some, |t| t))
-            .expect("the exact scan converts every time");
-        out.extend(found);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.cursor.memory_bytes()
-            + self.first_gap.capacity() * (size_of::<(u32, Time)>() + size_of::<u64>())
-    }
-}
-
-/// `P0007`, streaming: a pure `finish`-time check of the running
-/// completion maximum against `f_λ(n)` / the Lemma 8 bound.
-pub struct StreamingOptimalityPass;
-
-impl StreamingLintPass for StreamingOptimalityPass {
-    fn name(&self) -> &'static str {
-        "optimality"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Quality
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let n = cx.index.n();
-        let lam = cx.index.latency();
-        // Only sensible when there is something to broadcast to.
-        if n < 2 {
-            return;
-        }
-        let completion = cx.index.completion();
-        let m = cx.opts.messages.max(1);
-        let optimal = if m == 1 {
-            GenFib::new(lam).index(n as u128)
-        } else {
-            runtimes::multi_lower_bound(n as u128, m, lam)
-        };
-        if completion < optimal {
-            out.push(Diagnostic {
-                code: LintCode::OptimalityGap,
-                severity: Severity::Error,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(optimal),
-                message: format!(
-                    "completes at t = {completion}, beating the proven lower bound {optimal} \
-                     for {m} message(s) in MPS({n}, {lam}) — the schedule cannot be a full \
-                     broadcast"
-                ),
-            });
-        } else if completion > optimal {
-            let (severity, bound_name) = if m == 1 {
-                (Severity::Warn, "the optimum f_lambda(n)")
-            } else {
-                // The Lemma 8 bound is not always attainable, so a gap
-                // against it is informational, not a defect.
-                (
-                    Severity::Info,
-                    "the Lemma 8 lower bound (m-1) + f_lambda(n)",
-                )
-            };
-            out.push(Diagnostic {
-                code: LintCode::OptimalityGap,
-                severity,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(optimal),
-                message: format!(
-                    "completes at t = {completion}; {bound_name} is {optimal} \
-                     (gap {} units)",
-                    completion - optimal
-                ),
-            });
-        }
-    }
-}
-
-/// `P0017`, streaming: well-formed sends arrive in canonical arena
-/// order (the finalization protocol's guarantee), so non-edge findings
-/// are detected online and appended verbatim at `finish` — the same
-/// order the batch pass produces by sweeping the arena.
-pub struct StreamingNonEdgePass {
-    topo: Topology,
-    found: Vec<Diagnostic>,
-}
-
-impl StreamingNonEdgePass {
-    /// Creates the pass over the given communication graph.
-    pub fn new(topo: Topology) -> StreamingNonEdgePass {
-        StreamingNonEdgePass {
-            topo,
-            found: Vec::new(),
-        }
-    }
-}
-
-impl StreamingLintPass for StreamingNonEdgePass {
-    fn name(&self) -> &'static str {
-        "non-edge"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Shape
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
-            return;
-        };
-        if self.topo.is_complete() || self.topo.is_edge(s.src, s.dst) {
-            return;
-        }
-        let spec = self.topo.spec();
-        self.found.push(Diagnostic {
-            code: LintCode::NonEdgeSend,
-            severity: Severity::Error,
-            witness: None,
-            proc: Some(s.src),
-            sends: vec![**s],
-            related_time: None,
-            message: format!(
-                "p{} sends to p{} at t = {}, but p{}-p{} is not an edge \
-                 of the {spec} topology",
-                s.src, s.dst, s.send_start, s.src, s.dst
-            ),
-        });
-    }
-
-    fn finish(&mut self, _cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        out.append(&mut self.found);
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.found.capacity() * size_of::<Diagnostic>()
-    }
-}
-
-/// `P0019`, streaming: a pure `finish`-time BFS over the topology,
-/// root-cause-suppressing the `P0005`s the coverage pass (registered
-/// earlier in the Broadcast stage) already emitted for partitioned
-/// processors — identical logic to the batch pass.
-pub struct StreamingTopologyReachabilityPass {
-    /// The communication graph to check reachability over.
-    pub topo: Topology,
-}
-
-impl StreamingLintPass for StreamingTopologyReachabilityPass {
-    fn name(&self) -> &'static str {
-        "topology-reachability"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Broadcast
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        if self.topo.is_complete() {
-            return;
-        }
-        let n = cx.index.n();
-        let orig = cx.opts.originator;
-        let spec = self.topo.spec();
-        let dist = self.topo.bfs_distances(orig);
-        let cut: Vec<u32> = (0..n)
-            .filter(|&p| {
-                p != orig && dist.get(p as usize).copied().unwrap_or(UNREACHABLE) == UNREACHABLE
-            })
-            .collect();
-        if cut.is_empty() {
-            return;
-        }
-        let mut suppressed: Vec<u32> = Vec::new();
-        out.retain(|d| {
-            let cover = d.code == LintCode::UninformedProcessor
-                && d.proc.is_some_and(|p| cut.binary_search(&p).is_ok());
-            if cover {
-                suppressed.push(d.proc.unwrap_or(u32::MAX));
-            }
-            !cover
-        });
-        for p in cut {
-            let note = if suppressed.contains(&p) {
-                " (suppresses the timing-level P0005)"
-            } else {
-                ""
-            };
-            out.push(Diagnostic {
-                code: LintCode::TopologyPartitionUnreachable,
-                severity: Severity::Error,
-                witness: None,
-                proc: Some(p),
-                sends: Vec::new(),
-                related_time: None,
-                message: format!(
-                    "p{p} has no path from the originator p{orig} in the {spec} \
-                     topology — no schedule can inform it{note}"
-                ),
-            });
-        }
-    }
-}
-
-/// `P0018`, streaming: a pure `finish`-time check of the running
-/// completion maximum against the BFS bound `(m−1) + λ·ecc(originator)`
-/// — identical arithmetic to the batch pass.
-pub struct StreamingTopologyOptimalityPass {
-    /// The communication graph whose eccentricity grounds the bound.
-    pub topo: Topology,
-}
-
-impl StreamingLintPass for StreamingTopologyOptimalityPass {
-    fn name(&self) -> &'static str {
-        "topology-optimality"
-    }
-
-    fn stage(&self) -> PassStage {
-        PassStage::Quality
-    }
-
-    fn on_event(&mut self, _cx: &StreamContext<'_>, _ev: &StreamEvent<'_>) {}
-
-    fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
-        let n = cx.index.n();
-        if self.topo.is_complete() || n < 2 {
-            return;
-        }
-        let lam = cx.index.latency();
-        let spec = self.topo.spec();
-        let orig = cx.opts.originator;
-        let completion = cx.index.completion();
-        let m = cx.opts.messages.max(1);
-        let ecc = self.topo.eccentricity(orig);
-        let bound = Time::from_int(m as i128 - 1) + lam.as_time().mul_int(ecc as i128);
-        if completion < bound {
-            out.push(Diagnostic {
-                code: LintCode::TopologyOptimalityGap,
-                severity: Severity::Error,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(bound),
-                message: format!(
-                    "completes at t = {completion}, beating the {spec} topology \
-                     lower bound {bound} for {m} message(s) from p{orig} — some \
-                     transfer must bypass the graph"
-                ),
-            });
-        } else if completion > bound {
-            // Like the Lemma 8 bound, λ·ecc is not always attainable:
-            // a gap is suspect for one message, informational beyond.
-            let severity = if m == 1 {
-                Severity::Warn
-            } else {
-                Severity::Info
-            };
-            out.push(Diagnostic {
-                code: LintCode::TopologyOptimalityGap,
-                severity,
-                witness: None,
-                proc: None,
-                sends: Vec::new(),
-                related_time: Some(bound),
-                message: format!(
-                    "completes at t = {completion}; the {spec} topology lower \
-                     bound (m-1) + lambda*ecc(p{orig}) is {bound} (gap {} units)",
-                    completion - bound
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{lint_schedule, PassManager};
+    use super::super::{lint_schedule, LintCode, PassManager};
     use super::*;
 
     fn send(src: u32, dst: u32, num: i128, den: i128) -> TimedSend {
@@ -1603,32 +454,5 @@ mod tests {
         // Schedule::completion: 1 + 5/2 = 7/2.
         assert_eq!(lint.index().completion(), Time::new(7, 2));
         assert!(lint.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn time_slots_mix_lattice_and_exact_values() {
-        let half = TickScale::HALF;
-        let mut slots = TimeSlots::new(2);
-        assert_eq!(slots.get(0, half), None);
-        slots.set_min(0, Time::new(5, 2), half);
-        assert_eq!(slots.get(0, half), Some(Time::new(5, 2)));
-        assert_eq!(slots.tick(0), Some(5));
-        // An off-lattice minimum migrates the slot to the side table...
-        slots.set_min(0, Time::new(1, 3), half);
-        assert_eq!(slots.get(0, half), Some(Time::new(1, 3)));
-        assert_eq!(slots.tick(0), None);
-        // ...and later lattice values keep comparing exactly.
-        slots.set_min(0, Time::new(1, 4), half);
-        assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
-        slots.set_min(0, Time::from_int(7), half);
-        assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
-        slots.put(1, Time::new(1, 3), half);
-        slots.put(1, Time::from_int(2), half);
-        assert_eq!(slots.get(1, half), Some(Time::from_int(2)));
-        // On sixths, thirds are lattice values.
-        let sixths = TickScale::new(6).unwrap();
-        let mut slots = TimeSlots::new(1);
-        slots.set_min(0, Time::new(7, 3), sixths);
-        assert_eq!(slots.tick(0), Some(14));
     }
 }

@@ -8,14 +8,15 @@
 //!   off it, and survive refinement;
 //! * on random rational-λ schedules, the index's tick lane agrees with
 //!   exact arithmetic on **every** comparison and index predicate, and
-//!   the linter's diagnostics match the reference engine byte for byte;
+//!   both lint drivers' diagnostics match the reference engine byte for
+//!   byte, malformed sends and any originator included;
 //! * tick arithmetic and ordering match [`Time`] exactly, through
 //!   `Display`;
 //! * values past [`TICK_LIMIT`] have no tick — never a wrapped one —
 //!   and refusing them keeps the exact value intact.
 
 use postal_model::lint::reference::lint_schedule_reference;
-use postal_model::lint::{lint_schedule, LintOptions, ScheduleIndex};
+use postal_model::lint::{lint_schedule, lint_schedule_streaming, LintOptions, ScheduleIndex};
 use postal_model::schedule::{Schedule, TimedSend};
 use postal_model::time::TICK_LIMIT;
 use postal_model::{Latency, TickScale, Time};
@@ -46,6 +47,72 @@ fn arb_lattice_schedule() -> impl Strategy<Value = Schedule> {
                 .collect();
             Schedule::new(n, lam, sends)
         })
+}
+
+/// [`arb_lattice_schedule`] plus up to four more sends on the lattice
+/// that may be malformed: endpoints up to two past the largest `n`,
+/// starts down to −4 ticks.
+fn arb_messy_schedule() -> impl Strategy<Value = Schedule> {
+    (
+        arb_lattice_schedule(),
+        collection::vec((0u32..10, 0u32..10, -4i64..=96), 0..4),
+    )
+        .prop_map(|(s, extra)| {
+            let scale = TickScale::for_latency(s.latency()).expect("small denominators");
+            let mut sends = s.sends().to_vec();
+            sends.extend(extra.into_iter().map(|(src, dst, tick)| TimedSend {
+                src,
+                dst,
+                send_start: scale.to_time(tick),
+            }));
+            Schedule::new(s.n(), s.latency(), sends)
+        })
+}
+
+/// Checks the index's two predicates — the `P0001`/`P0002` port-window
+/// check and `P0003`'s first-receipt causality — against exact
+/// arithmetic on every pair of `s`'s send starts plus `extra`, and its
+/// first receipts against a direct scan of the well-formed sends.
+fn predicates_match_exact(s: &Schedule, extra: Time) -> Result<(), TestCaseError> {
+    let idx = ScheduleIndex::build(s);
+    let lam = s.latency();
+    let n = s.n();
+    let well_formed =
+        |t: &&TimedSend| t.src < n && t.dst < n && t.src != t.dst && t.send_start >= Time::ZERO;
+    let mut starts: Vec<Time> = s.sends().iter().map(|t| t.send_start).collect();
+    starts.push(extra);
+    for &a in &starts {
+        for &b in &starts {
+            prop_assert_eq!(
+                idx.lt_one_apart(a, b),
+                b < a + Time::ONE,
+                "lt_one_apart({}, {})",
+                a,
+                b
+            );
+        }
+    }
+    for p in 0..n {
+        let exact_receipt = s
+            .sends()
+            .iter()
+            .filter(well_formed)
+            .filter(|t| t.dst == p)
+            .map(|t| t.recv_finish(lam))
+            .min();
+        prop_assert_eq!(idx.first_receipt(p), exact_receipt, "first_receipt({})", p);
+        for &t in &starts {
+            let exact_informed = exact_receipt.is_some_and(|r| r <= t);
+            prop_assert_eq!(
+                idx.informed_by(p, t),
+                exact_informed,
+                "informed_by({}, {})",
+                p,
+                t
+            );
+        }
+    }
+    Ok(())
 }
 
 /// A random lattice: `D` in 1..=60.
@@ -80,37 +147,36 @@ proptest! {
 
     #[test]
     fn tick_lane_predicates_agree_with_exact_arithmetic(s in arb_lattice_schedule()) {
+        // Every start — and a probe one tick past the largest — sits on
+        // the index's lattice, so the predicates answer on ticks.
         let idx = ScheduleIndex::build(&s);
-        prop_assert!(idx.has_fast_lane(), "lattice schedule must take the tick lane");
-        let arena = idx.arena();
-        for i in 0..arena.len() {
-            for j in 0..arena.len() {
-                prop_assert_eq!(
-                    idx.lt_one_apart(i, j),
-                    arena[j].send_start < arena[i].send_start + Time::ONE,
-                    "lt_one_apart({}, {})", i, j
-                );
-            }
-            let exact_informed = match idx.first_receipt(arena[i].src) {
-                Some(t) => t <= arena[i].send_start,
-                None => false,
-            };
-            prop_assert_eq!(idx.sender_informed(i), exact_informed, "sender_informed({})", i);
-        }
+        let probe = idx.scale().to_time(97);
+        prop_assert!(
+            s.sends().iter().all(|t| idx.scale().to_tick(t.send_start).is_some()),
+            "lattice schedule must take the tick lane"
+        );
+        predicates_match_exact(&s, probe)?;
     }
 
     #[test]
-    fn diagnostics_agree_byte_for_byte_on_the_lattice(s in arb_lattice_schedule(), m in 1u64..=4) {
+    fn diagnostics_agree_byte_for_byte_on_the_lattice(
+        s in arb_messy_schedule(), m in 1u64..=4, orig in 0u32..8,
+    ) {
+        let originator = orig % s.n();
         for opts in [
             LintOptions::broadcast_of(m),
-            LintOptions::ports_only(),
+            LintOptions { originator, ..LintOptions::broadcast_of(m) },
+            LintOptions { originator, ..LintOptions::ports_only() },
         ] {
-            let fast = lint_schedule(&s, &opts);
+            let sorted = lint_schedule(&s, &opts);
+            let streamed = lint_schedule_streaming(&s, &opts);
             let slow = lint_schedule_reference(&s, &opts);
-            prop_assert_eq!(&fast, &slow);
-            for (a, b) in fast.iter().zip(&slow) {
+            prop_assert_eq!(&sorted, &slow);
+            prop_assert_eq!(&streamed, &slow);
+            for ((a, b), c) in sorted.iter().zip(&slow).zip(&streamed) {
                 prop_assert_eq!(&a.message, &b.message);
                 prop_assert_eq!(a.to_string(), b.to_string());
+                prop_assert_eq!(c.to_string(), b.to_string());
             }
         }
     }
@@ -152,12 +218,15 @@ proptest! {
         s in arb_lattice_schedule(), seventh in 1i128..=5
     ) {
         // Push one send off every lattice with q ≤ 6 (numerator chosen
-        // ≢ 0 mod 7 so the fraction never reduces): the lane must
-        // disengage and the exact path must still match the reference.
+        // ≢ 0 mod 7 so the fraction never reduces): its comparisons and
+        // p1's first receipt must take the exact path and still match
+        // exact arithmetic and the reference.
         let mut sends: Vec<TimedSend> = s.sends().to_vec();
-        sends.push(TimedSend { src: 0, dst: 1, send_start: Time::new(7 * seventh + 1, 7) });
+        let seventh = Time::new(7 * seventh + 1, 7);
+        sends.push(TimedSend { src: 0, dst: 1, send_start: seventh });
         let off = Schedule::new(s.n(), s.latency(), sends);
-        prop_assert!(!ScheduleIndex::build(&off).has_fast_lane());
+        prop_assert!(ScheduleIndex::build(&off).scale().to_tick(seventh).is_none());
+        predicates_match_exact(&off, seventh)?;
         let opts = LintOptions::default();
         prop_assert_eq!(
             lint_schedule(&off, &opts),
@@ -167,18 +236,16 @@ proptest! {
 
     #[test]
     fn oversized_times_disable_the_lane_entirely(s in arb_lattice_schedule()) {
-        // One start past the tick range disables the all-or-nothing
-        // lane; diagnostics still match the reference through the exact
-        // path.
+        // One start past the tick range has no tick; its comparisons and
+        // p1's first receipt take the exact path, and diagnostics still
+        // match the reference.
         let mut sends: Vec<TimedSend> = s.sends().to_vec();
         let scale = TickScale::for_latency(s.latency()).expect("small denominators");
-        sends.push(TimedSend {
-            src: 0,
-            dst: 1,
-            send_start: scale.to_time(TICK_LIMIT) + Time::ONE,
-        });
+        let past = scale.to_time(TICK_LIMIT) + Time::ONE;
+        sends.push(TimedSend { src: 0, dst: 1, send_start: past });
         let huge = Schedule::new(s.n(), s.latency(), sends);
-        prop_assert!(!ScheduleIndex::build(&huge).has_fast_lane());
+        prop_assert!(ScheduleIndex::build(&huge).scale().to_tick(past).is_none());
+        predicates_match_exact(&huge, past)?;
         let opts = LintOptions::default();
         prop_assert_eq!(
             lint_schedule(&huge, &opts),
