@@ -4,7 +4,8 @@
 //! (λ = 5/2, the paper's running example), serializes each to the
 //! `postal lint` JSON format, and times the full CLI-equivalent path —
 //! streaming parse → every `P0001`–`P0007` pass → rendered summary —
-//! reporting a sends/sec series to `BENCH_lint.json`.
+//! reporting a sends/sec series to `BENCH_lint.json`, plus the parse
+//! alone at n = 10⁶ (`parse_secs_n1000000`, `parse_mib_per_s_n1000000`).
 //!
 //! Two budget gates make this a regression tripwire, not just a report:
 //!
@@ -136,9 +137,14 @@ fn main() {
         ]);
         report.num(&format!("sends_per_sec_n{n}"), rate);
         if n == 1_000_000 {
+            // The parse cost on its own: reported, not gated.
+            let parse_mib_per_s = text.len() as f64 / (1024.0 * 1024.0) / parse_secs;
+            println!("parse at n = 10^6: {parse_secs:.3}s, {parse_mib_per_s:.1} MiB/s");
             report
                 .num("e2e_secs_n1000000", total)
-                .num("lint_budget_secs", lint_budget_secs);
+                .num("lint_budget_secs", lint_budget_secs)
+                .num("parse_secs_n1000000", parse_secs)
+                .num("parse_mib_per_s_n1000000", parse_mib_per_s);
         }
     }
 

@@ -266,14 +266,11 @@ fn lint(args: &[&str]) -> Result<String, CliError> {
         [_, extra, ..] => return Err(unexpected(extra)),
     };
     // Stream the file instead of reading it into memory: million-send
-    // schedules lint without ever materializing the trace text. The
-    // first content line is read eagerly to sniff the format — an
+    // schedules lint without ever materializing the trace text. A
+    // bounded prefix is read eagerly to sniff the format — an
     // observability JSONL log announces itself with a run header; a
     // schedule file is a single JSON object. Both reduce to a Schedule.
-    use std::io::{Cursor, Read as _};
-    let (first_line, reader) = open_sniffed(path)?;
-    let is_jsonl = first_line.contains("\"type\":\"run\"");
-    let input = Cursor::new(first_line).chain(reader);
+    let (is_jsonl, input) = open_sniffed(path)?;
     let invalid = |e: &dyn std::fmt::Display| CliError::Invalid(format!("{path}: {e}"));
     let (raw, facts) = if stream_mode {
         if !is_jsonl {
@@ -317,31 +314,45 @@ fn lint(args: &[&str]) -> Result<String, CliError> {
     lint_outcome(path, &diags, facts, as_json, deny)
 }
 
-/// Opens `path` for lint-format sniffing: skips a UTF-8 byte-order mark
-/// and any leading blank lines (editors and shell heredocs prepend
-/// both), returning the first content line plus the rest of the file.
-/// The returned line has the BOM already stripped, so chaining it back
-/// in front of the reader reconstructs a clean document.
-fn open_sniffed(path: &str) -> Result<(String, std::io::BufReader<std::fs::File>), CliError> {
-    use std::io::{BufRead as _, BufReader};
+/// Most bytes of the first content line that [`open_sniffed`] reads.
+const SNIFF_BYTES: usize = 4096;
+
+/// Opens `path` and sniffs its lint format from a bounded prefix. Skips
+/// a UTF-8 byte-order mark and any leading blank lines (editors and
+/// shell heredocs prepend both), then reads at most [`SNIFF_BYTES`] of
+/// the first content line, so a one-line schedule is never read whole.
+/// Returns whether that prefix opens an observability JSONL log
+/// (`to_jsonl` writes `"type":"run"` as the header's first key) and
+/// the prefix, BOM stripped, chained back in front of the rest of the
+/// file: a clean document.
+fn open_sniffed(path: &str) -> Result<(bool, impl std::io::BufRead), CliError> {
+    use std::io::{BufRead as _, BufReader, Cursor, Read as _};
     let cannot = |e: &dyn std::fmt::Display| CliError::Invalid(format!("cannot read {path}: {e}"));
     let handle = std::fs::File::open(path).map_err(|e| cannot(&e))?;
     let mut reader = BufReader::new(handle);
-    let mut first_line = String::new();
+    let mut prefix = Vec::new();
     loop {
-        first_line.clear();
-        let n = reader.read_line(&mut first_line).map_err(|e| cannot(&e))?;
+        prefix.clear();
+        let n = (&mut reader)
+            .take(SNIFF_BYTES as u64)
+            .read_until(b'\n', &mut prefix)
+            .map_err(|e| cannot(&e))?;
         if n == 0 {
-            break; // EOF: hand the (blank) line to the parser for its error.
+            break; // EOF: hand the empty prefix to the parser for its error.
         }
-        if first_line.starts_with('\u{feff}') {
-            first_line.replace_range(..'\u{feff}'.len_utf8(), "");
+        let whole_line = prefix.ends_with(b"\n") || n < SNIFF_BYTES;
+        let bom = "\u{feff}".as_bytes();
+        if prefix.starts_with(bom) {
+            prefix.drain(..bom.len());
         }
-        if !first_line.trim().is_empty() {
+        let blank = std::str::from_utf8(&prefix).is_ok_and(|l| l.trim().is_empty());
+        if !(whole_line && blank) {
             break;
         }
     }
-    Ok((first_line, reader))
+    let header = b"\"type\":\"run\"";
+    let is_jsonl = prefix.windows(header.len()).any(|w| w == header);
+    Ok((is_jsonl, Cursor::new(prefix).chain(reader)))
 }
 
 /// The facts a lint report's clean line and notes are rendered from.
@@ -2656,7 +2667,8 @@ mod tests {
     #[test]
     fn lint_tolerates_bom_and_blank_lines() {
         // A UTF-8 BOM plus leading blank lines (editors and heredocs
-        // prepend both) must not break format sniffing.
+        // prepend both) must not break format sniffing, of a schedule
+        // or of a JSONL log.
         let path = write_temp(
             "bom.json",
             "\u{feff}\n\n{\"n\": 3, \"lambda\": \"5/2\",\n \"sends\": \
@@ -2664,6 +2676,23 @@ mod tests {
         );
         let out = call(&["lint", path.to_str().unwrap()]).unwrap();
         assert!(out.contains("clean"), "{out}");
+
+        // The format is sniffed from a bounded prefix: a one-line
+        // schedule longer than it, with a run header's key text only
+        // past it, lints as the schedule it is, like its pretty form.
+        let schedule = BroadcastTree::build(400, Latency::from_ratio(5, 2)).to_schedule();
+        let pretty = postal_verify::json::schedule_to_json(&schedule, Some(1));
+        let line = pretty.replace('\n', "");
+        let line = format!(
+            "{},\"note\":{{\"type\":\"run\"}}}}",
+            &line[..line.len() - 1]
+        );
+        assert!(line.find("\"type\"").unwrap() > SNIFF_BYTES);
+        let pretty = write_temp("sniff-pretty.json", &pretty);
+        let one_line = write_temp("sniff-one-line.json", &format!("\u{feff}\n \n{line}"));
+        let lint_json =
+            |p: &std::path::Path| call(&["lint", p.to_str().unwrap(), "--format", "json"]);
+        assert_eq!(lint_json(&one_line).unwrap(), lint_json(&pretty).unwrap());
 
         let events = std::env::temp_dir().join("postal-cli-test-bom-src.jsonl");
         call(&[

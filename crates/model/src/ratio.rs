@@ -502,7 +502,17 @@ impl PartialOrd for Ratio {
 
 impl Ord for Ratio {
     fn cmp(&self, other: &Ratio) -> Ordering {
-        // a/b vs c/d  ⇔  a·d vs c·b  (b, d > 0). Cross-reduce first.
+        // a/b vs c/d  ⇔  a·d vs c·b  (b, d > 0).
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
+        if let (Some(lhs), Some(rhs)) = (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            return lhs.cmp(&rhs);
+        }
+        // A product overflowed: cross-reduce, which only shrinks them.
         let g_num = gcd(self.num, other.num);
         let g_den = gcd(self.den, other.den);
         let (an, ad) = (self.num / g_num.max(1), self.den / g_den);

@@ -19,6 +19,22 @@
 //! a bare JSON number. `"messages"` is optional (default 1). λ and every
 //! send time must share one `i64` tick lattice ([`TimeLattice`]); a time
 //! outside it is rejected with a [`TimeRangeError`] naming the send.
+//!
+//! ## Reading
+//!
+//! One reader serves both entry points: [`parse_schedule_reader`] pulls
+//! from any [`BufRead`], and [`parse_schedule`] runs it over a string's
+//! bytes. The lexer keeps a bounded window of the input: each refill
+//! takes at most 64 KiB of the reader's current `fill_buf` slice and
+//! consumes it at once, and drops the bytes already read, so a token
+//! that straddles two slices is still contiguous. Whitespace, numbers
+//! and string bodies are scanned as runs of the window; keys are
+//! matched as bytes, and integers and times are converted straight
+//! from the token's bytes. Only a string with an escape is decoded, into
+//! one reused scratch buffer. No token allocates, and a parse holds the
+//! window, that buffer and the `TimedSend` list — never the text or a
+//! parse tree. Errors name the absolute byte offset (`at byte N`),
+//! whatever the reader's chunking.
 
 use postal_model::latency::Latency;
 use postal_model::lint::Diagnostic;
@@ -26,8 +42,8 @@ use postal_model::ratio::Ratio;
 use postal_model::schedule::{Schedule, TimedSend};
 use postal_model::time::{TickScale, Time, TICK_LIMIT};
 use postal_obs::ObsEvent;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::io::BufRead;
 
 /// A schedule as read from a file, with its optional message count.
 #[derive(Debug, Clone)]
@@ -206,387 +222,173 @@ pub(crate) fn check_times(latency: Latency, sends: &[TimedSend]) -> Result<(), T
     }
 }
 
-/// Parsed JSON value. Numbers keep their literal text so that times can
-/// be re-parsed exactly as rationals (e.g. `2.5` → `5/2`, no binary
-/// float round-trip).
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> JsonError {
-        JsonError::Syntax(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if text.is_empty() || text == "-" {
-            return Err(self.err("malformed number"));
-        }
-        Ok(Value::Num(text.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn parse_value(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(v)
-}
-
-fn as_ratio(v: &Value, field: &str) -> Result<Ratio, JsonError> {
-    let text = match v {
-        Value::Num(t) => t.as_str(),
-        Value::Str(s) => s.as_str(),
-        _ => {
-            return Err(JsonError::Syntax(format!(
-                "\"{field}\" must be a number or string"
-            )))
-        }
-    };
-    text.parse::<Ratio>()
-        .map_err(|_| JsonError::Syntax(format!("\"{field}\": cannot parse {text:?} as a rational")))
-}
-
-fn as_u64(v: &Value, field: &str) -> Result<u64, JsonError> {
-    if let Value::Num(t) = v {
-        if let Ok(x) = t.parse::<u64>() {
-            return Ok(x);
-        }
-    }
-    Err(JsonError::Syntax(format!(
-        "\"{field}\" must be a nonnegative integer"
-    )))
-}
-
-/// Parses a schedule file (see module docs for the format).
-pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
-    let Value::Obj(top) = parse_value(text)? else {
-        return Err(JsonError::Syntax("top level must be an object".into()));
-    };
-    let n = top
-        .get("n")
-        .ok_or_else(|| JsonError::Syntax("missing \"n\"".into()))
-        .and_then(|v| as_u64(v, "n"))?;
-    if n == 0 || n > u32::MAX as u64 {
-        return Err(JsonError::Syntax(format!("\"n\" out of range: {n}")));
-    }
-    let lam_ratio = top
-        .get("lambda")
-        .ok_or_else(|| JsonError::Syntax("missing \"lambda\"".into()))
-        .and_then(|v| as_ratio(v, "lambda"))?;
-    let latency = Latency::new(lam_ratio)
-        .map_err(|e| JsonError::Syntax(format!("invalid \"lambda\": {e}")))?;
-    let messages = match top.get("messages") {
-        None => None,
-        Some(v) => Some(as_u64(v, "messages")?),
-    };
-    let topology = match top.get("topology") {
-        None => None,
-        Some(Value::Str(s)) => Some(s.clone()),
-        Some(_) => return Err(JsonError::Syntax("\"topology\" must be a string".into())),
-    };
-    let Some(Value::Arr(raw_sends)) = top.get("sends") else {
-        return Err(JsonError::Syntax("missing \"sends\" array".into()));
-    };
-    let mut sends = Vec::with_capacity(raw_sends.len());
-    for (i, item) in raw_sends.iter().enumerate() {
-        let Value::Obj(o) = item else {
-            return Err(JsonError::Syntax(format!("sends[{i}] must be an object")));
-        };
-        let src = o
-            .get("src")
-            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"src\"")))
-            .and_then(|v| as_u64(v, "src"))?;
-        let dst = o
-            .get("dst")
-            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"dst\"")))
-            .and_then(|v| as_u64(v, "dst"))?;
-        let at = o
-            .get("at")
-            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"at\"")))
-            .and_then(|v| as_ratio(v, "at"))?;
-        if src > u32::MAX as u64 || dst > u32::MAX as u64 {
-            return Err(JsonError::Syntax(format!(
-                "sends[{i}]: endpoint out of range"
-            )));
-        }
-        sends.push(TimedSend {
-            src: src as u32,
-            dst: dst as u32,
-            send_start: Time(at),
-        });
-    }
-    check_times(latency, &sends)?;
-    Ok(ScheduleFile {
-        schedule: Schedule::new(n as u32, latency, sends),
-        messages,
-        dropped_events: None,
-        sample: None,
-        truncated: false,
-        topology,
-    })
-}
-
-/// A scalar field value captured during a streaming parse. Numbers and
-/// strings keep their literal text (exact-rational re-parse); anything
-/// else is recorded only by shape so the deferred validation can emit
-/// the same "must be a …" message the tree parser would.
-enum Scalar {
-    Num(String),
-    Str(String),
+/// A scalar as the lexer hands it to a field's converter: the bytes of
+/// a number literal or of a decoded string — valid UTF-8 either way —
+/// or just the fact that the value was something else.
+enum Lit<'a> {
+    Num(&'a [u8]),
+    Str(&'a [u8]),
     Other,
 }
 
-impl Scalar {
-    fn as_u64(&self, field: &str) -> Result<u64, JsonError> {
-        if let Scalar::Num(t) = self {
-            if let Ok(x) = t.parse::<u64>() {
-                return Ok(x);
-            }
+/// An integer field's value: `None` unless a number literal that parses
+/// as a `u64`.
+fn as_int(lit: Lit<'_>) -> Option<u64> {
+    match lit {
+        Lit::Num(t) => utf8(t).parse().ok(),
+        _ => None,
+    }
+}
+
+/// A time field's value. `Err` carries the literal that did not parse,
+/// or `None` for a value that is neither number nor string.
+fn as_time(lit: Lit<'_>) -> Result<Ratio, Option<String>> {
+    match lit {
+        Lit::Num(t) | Lit::Str(t) => {
+            let text = utf8(t);
+            text.parse().map_err(|_| Some(text.to_owned()))
         }
-        Err(JsonError::Syntax(format!(
-            "\"{field}\" must be a nonnegative integer"
-        )))
+        Lit::Other => Err(None),
     }
+}
 
-    fn as_ratio(&self, field: &str) -> Result<Ratio, JsonError> {
-        let text = match self {
-            Scalar::Num(t) => t.as_str(),
-            Scalar::Str(s) => s.as_str(),
-            Scalar::Other => {
-                return Err(JsonError::Syntax(format!(
-                    "\"{field}\" must be a number or string"
-                )))
-            }
-        };
-        text.parse::<Ratio>().map_err(|_| {
-            JsonError::Syntax(format!("\"{field}\": cannot parse {text:?} as a rational"))
+fn utf8(bytes: &[u8]) -> &str {
+    // Number literals are ASCII; strings are checked as they are read.
+    std::str::from_utf8(bytes).expect("the lexer hands over UTF-8 only")
+}
+
+fn int_field(value: Option<u64>, field: &str) -> Result<u64, JsonError> {
+    value.ok_or_else(|| JsonError::Syntax(format!("\"{field}\" must be a nonnegative integer")))
+}
+
+fn time_field(value: Result<Ratio, Option<String>>, field: &str) -> Result<Ratio, JsonError> {
+    value.map_err(|text| {
+        JsonError::Syntax(match text {
+            Some(text) => format!("\"{field}\": cannot parse {text:?} as a rational"),
+            None => format!("\"{field}\" must be a number or string"),
         })
+    })
+}
+
+/// The keys the schedule format gives a meaning, matched as bytes.
+#[derive(Clone, Copy)]
+enum Key {
+    N,
+    Lambda,
+    Messages,
+    Topology,
+    Sends,
+    Src,
+    Dst,
+    At,
+    Other,
+}
+
+impl Key {
+    fn of(bytes: &[u8]) -> Key {
+        match bytes {
+            b"n" => Key::N,
+            b"lambda" => Key::Lambda,
+            b"messages" => Key::Messages,
+            b"topology" => Key::Topology,
+            b"sends" => Key::Sends,
+            b"src" => Key::Src,
+            b"dst" => Key::Dst,
+            b"at" => Key::At,
+            _ => Key::Other,
+        }
     }
 }
 
-/// Incremental JSON lexer over a [`BufRead`]: the streaming counterpart
-/// of the tree-building `Parser`, reading one buffered byte at a time
-/// and tracking the absolute offset for `at byte N` errors.
-struct StreamParser<R: std::io::BufRead> {
-    inner: R,
-    pos: usize,
+fn is_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
 }
 
-impl<R: std::io::BufRead> StreamParser<R> {
-    fn new(inner: R) -> StreamParser<R> {
-        StreamParser { inner, pos: 0 }
+fn is_num(b: u8) -> bool {
+    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
+}
+
+/// Most input bytes one refill copies into the window: 64 KiB.
+const CHUNK: usize = 1 << 16;
+
+/// The pull lexer behind both entry points: see the module docs.
+struct Lexer<R> {
+    inner: R,
+    /// The window: a bounded run of the input, unread from `at` on.
+    buf: Vec<u8>,
+    at: usize,
+    /// Absolute offset of `buf[0]`.
+    base: usize,
+    /// A string with escapes, decoded; reused for every such string.
+    scratch: Vec<u8>,
+}
+
+impl<R: BufRead> Lexer<R> {
+    fn new(inner: R) -> Lexer<R> {
+        Lexer {
+            inner,
+            buf: Vec::new(),
+            at: 0,
+            base: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Absolute offset of the next unread byte: the `N` of `at byte N`.
+    fn pos(&self) -> usize {
+        self.base + self.at
     }
 
     fn err(&self, what: &str) -> JsonError {
-        JsonError::Syntax(format!("{what} at byte {}", self.pos))
+        JsonError::Syntax(format!("{what} at byte {}", self.pos()))
+    }
+
+    /// Drops the window's read bytes and appends up to [`CHUNK`] bytes
+    /// of the reader's current `fill_buf` slice, consuming them at once.
+    /// `false` at the end of the input.
+    fn refill(&mut self) -> Result<bool, JsonError> {
+        let end = self.base + self.buf.len();
+        let chunk = self
+            .inner
+            .fill_buf()
+            .map_err(|e| JsonError::Syntax(format!("read error at byte {end}: {e}")))?;
+        let k = chunk.len().min(CHUNK);
+        self.buf.drain(..self.at);
+        self.base += self.at;
+        self.at = 0;
+        self.buf.extend_from_slice(&chunk[..k]);
+        self.inner.consume(k);
+        Ok(k > 0)
     }
 
     fn peek(&mut self) -> Result<Option<u8>, JsonError> {
-        let buf = self
-            .inner
-            .fill_buf()
-            .map_err(|e| JsonError::Syntax(format!("read error at byte {}: {e}", self.pos)))?;
-        Ok(buf.first().copied())
-    }
-
-    fn bump(&mut self) {
-        self.inner.consume(1);
-        self.pos += 1;
+        if self.at == self.buf.len() && !self.refill()? {
+            return Ok(None);
+        }
+        Ok(Some(self.buf[self.at]))
     }
 
     fn skip_ws(&mut self) -> Result<(), JsonError> {
-        while let Some(b) = self.peek()? {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.bump();
-            } else {
-                break;
+        loop {
+            let rest = &self.buf[self.at..];
+            match rest.iter().position(|&b| !is_ws(b)) {
+                Some(k) => {
+                    self.at += k;
+                    return Ok(());
+                }
+                None => {
+                    self.at = self.buf.len();
+                    if !self.refill()? {
+                        return Ok(());
+                    }
+                }
             }
         }
-        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek()? == Some(b) {
-            self.bump();
+            self.at += 1;
             Ok(())
         } else {
             Err(self.err(&format!("expected '{}'", b as char)))
@@ -598,77 +400,107 @@ impl<R: std::io::BufRead> StreamParser<R> {
             if self.peek()? != Some(w) {
                 return Err(self.err(&format!("expected '{word}'")));
             }
-            self.bump();
+            self.at += 1;
         }
         Ok(())
     }
 
-    fn number(&mut self) -> Result<String, JsonError> {
-        let mut text = String::new();
-        while let Some(b) = self.peek()? {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                text.push(b as char);
-                self.bump();
-            } else {
-                break;
+    /// Offset from `at` of the first byte from `at + from` on that
+    /// `stop` takes, or of the end of the input; refills keep the bytes
+    /// before it in the window.
+    fn scan(&mut self, from: usize, stop: impl Fn(u8) -> bool) -> Result<usize, JsonError> {
+        let mut k = from;
+        loop {
+            let rest = &self.buf[self.at + k..];
+            match rest.iter().position(|&b| stop(b)) {
+                Some(j) => return Ok(k + j),
+                None => {
+                    k += rest.len();
+                    if !self.refill()? {
+                        return Ok(k);
+                    }
+                }
             }
         }
-        if text.is_empty() || text == "-" {
-            return Err(self.err("malformed number"));
-        }
-        Ok(text)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn number<T>(&mut self, f: impl FnOnce(&[u8]) -> T) -> Result<T, JsonError> {
+        let k = self.scan(0, |b| !is_num(b))?;
+        let t = &self.buf[self.at..self.at + k];
+        let out = (!t.is_empty() && t != b"-").then(|| f(t));
+        self.at += k;
+        out.ok_or_else(|| self.err("malformed number"))
+    }
+
+    /// Reads a string and hands its decoded bytes to `f`: in place from
+    /// the window when the string has no escape.
+    fn string<T>(&mut self, f: impl FnOnce(&[u8]) -> T) -> Result<T, JsonError> {
+        if self.peek()? == Some(b'"') {
+            let q = self.scan(1, |b| b == b'"' || b == b'\\')?;
+            let body = &self.buf[self.at + 1..self.at + q];
+            if self.buf.get(self.at + q) == Some(&b'"') && std::str::from_utf8(body).is_ok() {
+                let out = f(body);
+                self.at += q + 1;
+                return Ok(out);
+            }
+        }
+        self.decode_string()?;
+        Ok(f(&self.scratch))
+    }
+
+    /// Decodes a string into `scratch` byte by byte: the path for
+    /// escapes, bad UTF-8, a missing `"` and an unterminated string.
+    fn decode_string(&mut self) -> Result<(), JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        let mut utf8: Vec<u8> = Vec::new();
+        self.scratch.clear();
+        // The bytes of a multi-byte UTF-8 sequence so far, checked after
+        // each one: an error once four bytes make no character.
+        let (mut seq, mut len) = ([0u8; 4], 0);
         loop {
             let Some(b) = self.peek()? else {
                 return Err(self.err("unterminated string"));
             };
+            self.at += 1;
             match b {
-                b'"' if utf8.is_empty() => {
-                    self.bump();
-                    return Ok(out);
-                }
-                b'\\' if utf8.is_empty() => {
-                    self.bump();
+                b'"' if len == 0 => return Ok(()),
+                b'\\' if len == 0 => {
                     let esc = self.peek()?.ok_or_else(|| self.err("bad escape"))?;
-                    self.bump();
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
+                    self.at += 1;
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b't' => '\t',
+                        b'r' => '\r',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
                         b'u' => {
-                            let mut hex = String::new();
-                            for _ in 0..4 {
-                                let h = self.peek()?.ok_or_else(|| self.err("bad \\u escape"))?;
-                                hex.push(h as char);
-                                self.bump();
+                            let mut hex = [0u8; 4];
+                            for h in &mut hex {
+                                *h = self.peek()?.ok_or_else(|| self.err("bad \\u escape"))?;
+                                self.at += 1;
                             }
-                            let cp = u32::from_str_radix(&hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                            let cp = std::str::from_utf8(&hex)
+                                .ok()
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            char::from_u32(cp).unwrap_or('\u{fffd}')
                         }
                         _ => return Err(self.err("unknown escape")),
-                    }
+                    };
+                    self.scratch
+                        .extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
                 }
                 _ => {
-                    // Accumulate multi-byte UTF-8 sequences byte-wise.
-                    utf8.push(b);
-                    self.bump();
-                    match std::str::from_utf8(&utf8) {
+                    seq[len] = b;
+                    len += 1;
+                    match std::str::from_utf8(&seq[..len]) {
                         Ok(s) => {
-                            out.push_str(s);
-                            utf8.clear();
+                            self.scratch.extend_from_slice(s.as_bytes());
+                            len = 0;
                         }
-                        Err(_) if utf8.len() < 4 => {}
+                        Err(_) if len < 4 => {}
                         Err(_) => return Err(self.err("invalid UTF-8")),
                     }
                 }
@@ -676,245 +508,203 @@ impl<R: std::io::BufRead> StreamParser<R> {
         }
     }
 
-    /// Consumes one scalar JSON value; nested arrays/objects are
-    /// swallowed recursively and reported as [`Scalar::Other`].
-    fn scalar(&mut self) -> Result<Scalar, JsonError> {
+    /// Reads one value and hands it to `f`; an array or object is
+    /// validated, skipped and handed over as [`Lit::Other`].
+    fn scalar<T>(&mut self, f: impl FnOnce(Lit<'_>) -> T) -> Result<T, JsonError> {
         self.skip_ws()?;
         match self.peek()? {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b't') => self.literal("true").map(|()| Scalar::Other),
-            Some(b'f') => self.literal("false").map(|()| Scalar::Other),
-            Some(b'n') => self.literal("null").map(|()| Scalar::Other),
-            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Scalar::Num(self.number()?)),
-            Some(b'{') | Some(b'[') => {
-                self.skip_value()?;
-                Ok(Scalar::Other)
-            }
+            Some(b'"') => self.string(|s| f(Lit::Str(s))),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(|t| f(Lit::Num(t))),
+            Some(b't') => self.literal("true").map(|()| f(Lit::Other)),
+            Some(b'f') => self.literal("false").map(|()| f(Lit::Other)),
+            Some(b'n') => self.literal("null").map(|()| f(Lit::Other)),
+            Some(b'{' | b'[') => self.skip_value().map(|()| f(Lit::Other)),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    /// Validates and discards one JSON value of any shape — how unknown
-    /// keys are tolerated without materializing their contents.
+    /// Validates and discards one value of any shape: how unknown keys
+    /// are skipped without keeping their contents.
     fn skip_value(&mut self) -> Result<(), JsonError> {
         self.skip_ws()?;
         match self.peek()? {
             Some(b'{') => {
-                self.bump();
-                self.skip_ws()?;
-                if self.peek()? == Some(b'}') {
-                    self.bump();
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws()?;
-                    self.string()?;
-                    self.skip_ws()?;
-                    self.expect(b':')?;
-                    self.skip_value()?;
-                    self.skip_ws()?;
-                    match self.peek()? {
-                        Some(b',') => self.bump(),
-                        Some(b'}') => {
-                            self.bump();
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
+                self.at += 1;
+                self.members(|p, _| p.skip_value())
             }
             Some(b'[') => {
-                self.bump();
-                self.skip_ws()?;
-                if self.peek()? == Some(b']') {
-                    self.bump();
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value()?;
-                    self.skip_ws()?;
-                    match self.peek()? {
-                        Some(b',') => self.bump(),
-                        Some(b']') => {
-                            self.bump();
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
+                self.at += 1;
+                self.elements(|p, _| p.skip_value())
             }
-            _ => self.scalar().map(|_| ()),
+            _ => self.scalar(|_| ()),
         }
     }
 
-    /// One element of the `"sends"` array: a flat object with `src`,
-    /// `dst` and `at` (unknown keys skipped, duplicates last-wins).
-    fn send_element(&mut self, i: usize) -> Result<TimedSend, JsonError> {
+    /// Reads an object's members after its `{`; `member` reads the
+    /// value of each key.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Key) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.skip_ws()?;
+        if self.peek()? == Some(b'}') {
+            self.at += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws()?;
+            let key = self.string(Key::of)?;
+            self.skip_ws()?;
+            self.expect(b':')?;
+            member(self, key)?;
+            self.skip_ws()?;
+            match self.peek()? {
+                Some(b',') => self.at += 1,
+                Some(b'}') => {
+                    self.at += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    /// Reads an array's elements after its `[`; `element` reads the
+    /// `i`-th.
+    fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.skip_ws()?;
+        if self.peek()? == Some(b']') {
+            self.at += 1;
+            return Ok(());
+        }
+        for i in 0.. {
+            element(self, i)?;
+            self.skip_ws()?;
+            match self.peek()? {
+                Some(b',') => self.at += 1,
+                Some(b']') => break,
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+        self.at += 1;
+        Ok(())
+    }
+
+    /// The `"sends"` value: its list when it is an array, else `None` —
+    /// a `"sends"` that is not an array reads as absent.
+    fn sends(&mut self) -> Result<Option<Vec<TimedSend>>, JsonError> {
+        self.skip_ws()?;
+        if self.peek()? != Some(b'[') {
+            self.skip_value()?;
+            return Ok(None);
+        }
+        self.at += 1;
+        let mut list = Vec::new();
+        self.elements(|p, i| {
+            list.push(p.send(i)?);
+            Ok(())
+        })?;
+        Ok(Some(list))
+    }
+
+    /// The `i`-th element of `"sends"`: an object with `src`, `dst` and
+    /// `at`, checked as soon as it closes.
+    fn send(&mut self, i: usize) -> Result<TimedSend, JsonError> {
         self.skip_ws()?;
         if self.peek()? != Some(b'{') {
             self.skip_value()?;
             return Err(JsonError::Syntax(format!("sends[{i}] must be an object")));
         }
-        self.bump();
+        self.at += 1;
         let (mut src, mut dst, mut at) = (None, None, None);
-        self.skip_ws()?;
-        if self.peek()? == Some(b'}') {
-            self.bump();
-        } else {
-            loop {
-                self.skip_ws()?;
-                let key = self.string()?;
-                self.skip_ws()?;
-                self.expect(b':')?;
-                match key.as_str() {
-                    "src" => src = Some(self.scalar()?),
-                    "dst" => dst = Some(self.scalar()?),
-                    "at" => at = Some(self.scalar()?),
-                    _ => self.skip_value()?,
-                }
-                self.skip_ws()?;
-                match self.peek()? {
-                    Some(b',') => self.bump(),
-                    Some(b'}') => {
-                        self.bump();
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
+        self.members(|p, key| {
+            match key {
+                Key::Src => src = Some(p.scalar(as_int)?),
+                Key::Dst => dst = Some(p.scalar(as_int)?),
+                Key::At => at = Some(p.scalar(as_time)?),
+                _ => p.skip_value()?,
             }
-        }
-        let src = src
-            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"src\"")))
-            .and_then(|v| v.as_u64("src"))?;
-        let dst = dst
-            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"dst\"")))
-            .and_then(|v| v.as_u64("dst"))?;
-        let at = at
-            .ok_or_else(|| JsonError::Syntax(format!("sends[{i}]: missing \"at\"")))
-            .and_then(|v| v.as_ratio("at"))?;
-        if src > u32::MAX as u64 || dst > u32::MAX as u64 {
+            Ok(())
+        })?;
+        let missing = |key| JsonError::Syntax(format!("sends[{i}]: missing \"{key}\""));
+        let src = int_field(src.ok_or_else(|| missing("src"))?, "src")?;
+        let dst = int_field(dst.ok_or_else(|| missing("dst"))?, "dst")?;
+        let at = time_field(at.ok_or_else(|| missing("at"))?, "at")?;
+        let (Ok(src), Ok(dst)) = (u32::try_from(src), u32::try_from(dst)) else {
             return Err(JsonError::Syntax(format!(
                 "sends[{i}]: endpoint out of range"
             )));
-        }
+        };
         Ok(TimedSend {
-            src: src as u32,
-            dst: dst as u32,
+            src,
+            dst,
             send_start: Time(at),
         })
     }
 }
 
-/// Streaming counterpart of [`parse_schedule`]: reads the same format
-/// incrementally from `reader`, so a million-send schedule file is
-/// linted without ever materializing its text (or a parse tree) in
-/// memory. Only the `TimedSend` list itself is retained. Top-level and
-/// per-send unknown keys are skipped; duplicate keys are last-wins;
-/// fields may appear in any order.
+/// Parses a schedule file (see module docs for the format) held in a
+/// string: [`parse_schedule_reader`] over its bytes.
+pub fn parse_schedule(text: &str) -> Result<ScheduleFile, JsonError> {
+    parse_schedule_reader(text.as_bytes())
+}
+
+/// Reads a schedule file (see module docs for the format) from
+/// `reader`, so a million-send schedule is linted without its text or a
+/// parse tree ever being held in memory: only the `TimedSend` list is
+/// kept. Unknown keys, top-level and per-send, are skipped; duplicate
+/// keys are last-wins; fields may appear in any order.
 ///
 /// # Errors
-/// [`JsonError`] on syntax errors, I/O failures, or shape violations,
-/// in the formats [`parse_schedule`] uses.
-pub fn parse_schedule_reader<R: std::io::BufRead>(reader: R) -> Result<ScheduleFile, JsonError> {
-    let mut p = StreamParser::new(reader);
+/// [`JsonError`] on syntax errors (with their byte offset), I/O
+/// failures, shape violations and times off every shared tick lattice.
+pub fn parse_schedule_reader<R: BufRead>(reader: R) -> Result<ScheduleFile, JsonError> {
+    let mut p = Lexer::new(reader);
     p.skip_ws()?;
     if p.peek()? != Some(b'{') {
-        // Validate the stray value for a precise syntax error, then
-        // report the shape problem the tree parser would.
+        // Validate the stray value for a precise syntax error first.
         p.skip_value()?;
         return Err(JsonError::Syntax("top level must be an object".into()));
     }
-    p.bump();
-
-    let (mut n, mut lambda, mut messages): (Option<Scalar>, Option<Scalar>, Option<Scalar>) =
-        (None, None, None);
-    let mut topology: Option<Scalar> = None;
-    let mut sends: Option<Vec<TimedSend>> = None;
-    p.skip_ws()?;
-    if p.peek()? == Some(b'}') {
-        p.bump();
-    } else {
-        loop {
-            p.skip_ws()?;
-            let key = p.string()?;
-            p.skip_ws()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "n" => n = Some(p.scalar()?),
-                "lambda" => lambda = Some(p.scalar()?),
-                "messages" => messages = Some(p.scalar()?),
-                "topology" => topology = Some(p.scalar()?),
-                "sends" => {
-                    p.skip_ws()?;
-                    if p.peek()? == Some(b'[') {
-                        p.bump();
-                        let mut list = Vec::new();
-                        p.skip_ws()?;
-                        if p.peek()? == Some(b']') {
-                            p.bump();
-                        } else {
-                            loop {
-                                list.push(p.send_element(list.len())?);
-                                p.skip_ws()?;
-                                match p.peek()? {
-                                    Some(b',') => p.bump(),
-                                    Some(b']') => {
-                                        p.bump();
-                                        break;
-                                    }
-                                    _ => return Err(p.err("expected ',' or ']'")),
-                                }
-                            }
-                        }
-                        sends = Some(list);
-                    } else {
-                        // A non-array "sends" reads as absent, exactly
-                        // as the tree parser's shape check treats it.
-                        p.skip_value()?;
-                        sends = None;
-                    }
-                }
-                _ => p.skip_value()?,
+    p.at += 1;
+    let (mut n, mut lambda, mut messages, mut topology, mut sends) = (None, None, None, None, None);
+    p.members(|p, key| {
+        match key {
+            Key::N => n = Some(p.scalar(as_int)?),
+            Key::Lambda => lambda = Some(p.scalar(as_time)?),
+            Key::Messages => messages = Some(p.scalar(as_int)?),
+            Key::Topology => {
+                topology = Some(p.scalar(|lit| match lit {
+                    Lit::Str(s) => Some(utf8(s).to_owned()),
+                    _ => None,
+                })?)
             }
-            p.skip_ws()?;
-            match p.peek()? {
-                Some(b',') => p.bump(),
-                Some(b'}') => {
-                    p.bump();
-                    break;
-                }
-                _ => return Err(p.err("expected ',' or '}'")),
-            }
+            Key::Sends => sends = p.sends()?,
+            _ => p.skip_value()?,
         }
-    }
+        Ok(())
+    })?;
     p.skip_ws()?;
     if p.peek()?.is_some() {
         return Err(p.err("trailing characters after JSON value"));
     }
 
-    let n = n
-        .ok_or_else(|| JsonError::Syntax("missing \"n\"".into()))
-        .and_then(|v| v.as_u64("n"))?;
+    let missing = |key| JsonError::Syntax(format!("missing \"{key}\""));
+    let n = int_field(n.ok_or_else(|| missing("n"))?, "n")?;
     if n == 0 || n > u32::MAX as u64 {
         return Err(JsonError::Syntax(format!("\"n\" out of range: {n}")));
     }
-    let lam_ratio = lambda
-        .ok_or_else(|| JsonError::Syntax("missing \"lambda\"".into()))
-        .and_then(|v| v.as_ratio("lambda"))?;
+    let lam_ratio = time_field(lambda.ok_or_else(|| missing("lambda"))?, "lambda")?;
     let latency = Latency::new(lam_ratio)
         .map_err(|e| JsonError::Syntax(format!("invalid \"lambda\": {e}")))?;
-    let messages = match messages {
-        None => None,
-        Some(v) => Some(v.as_u64("messages")?),
-    };
-    let topology = match topology {
-        None => None,
-        Some(Scalar::Str(s)) => Some(s),
-        Some(_) => return Err(JsonError::Syntax("\"topology\" must be a string".into())),
-    };
-    let Some(sends) = sends else {
-        return Err(JsonError::Syntax("missing \"sends\" array".into()));
-    };
+    let messages = messages.map(|m| int_field(m, "messages")).transpose()?;
+    let topology = topology
+        .map(|t| t.ok_or_else(|| JsonError::Syntax("\"topology\" must be a string".into())))
+        .transpose()?;
+    let sends = sends.ok_or_else(|| JsonError::Syntax("missing \"sends\" array".into()))?;
     check_times(latency, &sends)?;
     Ok(ScheduleFile {
         schedule: Schedule::new(n as u32, latency, sends),
@@ -1070,70 +860,241 @@ mod tests {
         assert_eq!(again.messages, Some(2));
     }
 
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(parse_schedule("[1, 2]").is_err());
-        assert!(parse_schedule("{\"n\": 2}").is_err());
-        assert!(parse_schedule("{\"n\": 0, \"lambda\": 1, \"sends\": []}").is_err());
-        assert!(
-            parse_schedule(r#"{"n": 2, "lambda": "1/2", "sends": []}"#).is_err(),
-            "lambda < 1 must be rejected"
-        );
-        assert!(parse_schedule("{\"n\": 2, \"lambda\": 1, \"sends\": [{}]}").is_err());
-        assert!(parse_schedule("{\"n\": 2, \"lambda\": 1, \"sends\": []} trailing").is_err());
-    }
+    /// An accepted input with the n, λ, sends as `(src, dst, at)` in
+    /// schedule order, and messages it parses to.
+    type Accepted = (
+        &'static str,
+        u32,
+        &'static str,
+        &'static [(u32, u32, &'static str)],
+        Option<u64>,
+    );
 
-    #[test]
-    fn streaming_parser_matches_tree_parser() {
-        let cases = [
-            SAMPLE,
+    const ACCEPTED: &[Accepted] = &[
+        (SAMPLE, 3, "5/2", &[(0, 1, "0"), (1, 2, "5/2")], None),
+        (
             r#"{"n": 2, "lambda": 2.5, "sends": [{"src":0,"dst":1,"at":1.5}]}"#,
-            // Out-of-order fields, unknown keys (nested), duplicates.
+            2,
+            "5/2",
+            &[(0, 1, "3/2")],
+            None,
+        ),
+        // Out-of-order fields, unknown keys (nested), duplicates.
+        (
             r#"{"comment": {"a": [1, {"b": null}]}, "sends": [
                  {"src": 0, "dst": 1, "at": "0", "note": "x"}],
                "lambda": "5/2", "n": 4, "n": 3}"#,
-            r#"{"n": 2, "lambda": 1, "sends": []}"#,
-        ];
-        for text in cases {
-            let tree = parse_schedule(text).unwrap();
-            let stream = parse_schedule_reader(std::io::Cursor::new(text)).unwrap();
-            assert_eq!(stream.schedule.n(), tree.schedule.n(), "{text}");
-            assert_eq!(stream.schedule.latency(), tree.schedule.latency());
-            assert_eq!(stream.schedule.sends(), tree.schedule.sends());
-            assert_eq!(stream.messages, tree.messages);
+            3,
+            "5/2",
+            &[(0, 1, "0")],
+            None,
+        ),
+        (r#"{"n": 2, "lambda": 1, "sends": []}"#, 2, "1", &[], None),
+        // Escaped keys and times decode before they are matched.
+        (
+            r#"{"n":2,"lambda":"5\/2","m\u0065ssages":2,
+                "sends":[{"src":0,"dst":1,"at":"1/2"}]}"#,
+            2,
+            "5/2",
+            &[(0, 1, "1/2")],
+            Some(2),
+        ),
+    ];
+
+    /// Inputs the reader rejects, with the exact error each one gets.
+    const REJECTED: &[(&str, &str)] = &[
+        ("[1, 2]", "top level must be an object"),
+        ("{\"n\": 2}", "missing \"lambda\""),
+        (
+            "{\"n\": 0, \"lambda\": 1, \"sends\": []}",
+            "\"n\" out of range: 0",
+        ),
+        (
+            r#"{"n": 2, "lambda": "1/2", "sends": []}"#,
+            "invalid \"lambda\": latency must satisfy λ ≥ 1, got 1/2",
+        ),
+        (
+            "{\"n\": 2, \"lambda\": 1, \"sends\": [{}]}",
+            "sends[0]: missing \"src\"",
+        ),
+        (
+            "{\"n\": 2, \"lambda\": 1, \"sends\": []} trailing",
+            "trailing characters after JSON value at byte 35",
+        ),
+        (
+            "{\"n\": 2, \"lambda\": 1, \"sends\": 3}",
+            "missing \"sends\" array",
+        ),
+        ("not json", "expected 'null' at byte 1"),
+        (
+            "{\"n\": 2, \"lambda\": 1, \"sends\": [{\"dst\": 1, \"at\": 0}]}",
+            "sends[0]: missing \"src\"",
+        ),
+        (
+            r#"{"n": 2, "lambda": 1, "sends": [{"src": 0, "dst": 1, "at": "1/"}]}"#,
+            "\"at\": cannot parse \"1/\" as a rational",
+        ),
+        (
+            r#"{"n": 2, "lambda": 1, "x": "\q", "sends": []}"#,
+            "unknown escape at byte 30",
+        ),
+        (r#"{"n": 2, "x": "abc"#, "unterminated string at byte 18"),
+    ];
+
+    #[test]
+    fn parses_accepted_inputs_to_expected_values() {
+        for &(text, n, lambda, sends, messages) in ACCEPTED {
+            let file = parse_schedule(text).unwrap();
+            assert_eq!(file.schedule.n(), n, "{text}");
+            assert_eq!(file.schedule.latency().to_string(), lambda, "{text}");
+            let got: Vec<(u32, u32, String)> = file
+                .schedule
+                .sends()
+                .iter()
+                .map(|s| (s.src, s.dst, s.send_start.to_string()))
+                .collect();
+            let want: Vec<(u32, u32, String)> = sends
+                .iter()
+                .map(|&(src, dst, at)| (src, dst, at.to_string()))
+                .collect();
+            assert_eq!(got, want, "{text}");
+            assert_eq!(file.messages, messages, "{text}");
         }
     }
 
     #[test]
-    fn streaming_parser_rejects_what_the_tree_parser_rejects() {
-        let bad = [
-            "[1, 2]",
-            "{\"n\": 2}",
-            "{\"n\": 0, \"lambda\": 1, \"sends\": []}",
-            r#"{"n": 2, "lambda": "1/2", "sends": []}"#,
-            "{\"n\": 2, \"lambda\": 1, \"sends\": [{}]}",
-            "{\"n\": 2, \"lambda\": 1, \"sends\": []} trailing",
-            "{\"n\": 2, \"lambda\": 1, \"sends\": 3}",
-            "not json",
-        ];
-        for text in bad {
-            assert!(parse_schedule(text).is_err(), "{text}");
-            assert!(
-                parse_schedule_reader(std::io::Cursor::new(text)).is_err(),
-                "{text}"
+    fn rejects_with_exact_messages() {
+        for &(text, message) in REJECTED {
+            let err = parse_schedule(text).unwrap_err();
+            assert_eq!(err.to_string(), message, "{text}");
+        }
+    }
+
+    /// Yields at most `k` bytes per `read`.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        k: usize,
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.k.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// A parse result as text: every field of the file, or the error.
+    fn outcome(parsed: Result<ScheduleFile, JsonError>) -> String {
+        match parsed {
+            Ok(f) => format!(
+                "n={} lambda={} sends={:?} messages={:?} topology={:?}",
+                f.schedule.n(),
+                f.schedule.latency(),
+                f.schedule.sends(),
+                f.messages,
+                f.topology
+            ),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// Parses `data` from one whole-slice read, and again from readers
+    /// that return 1, 2, 7 and 4096 bytes per read; asserts that all
+    /// agree and returns the outcome.
+    fn parse_every_chunking(data: &[u8]) -> String {
+        let whole = outcome(parse_schedule_reader(data));
+        for k in [1, 2, 7, 4096] {
+            let reader = std::io::BufReader::with_capacity(k, Chunked { data, k });
+            assert_eq!(
+                outcome(parse_schedule_reader(reader)),
+                whole,
+                "{k}-byte reads of {:?}",
+                String::from_utf8_lossy(data)
             );
         }
-        // Shape errors carry the tree parser's exact wording.
-        let missing = parse_schedule_reader(std::io::Cursor::new(
-            "{\"n\": 2, \"lambda\": 1, \"sends\": 3}",
-        ))
-        .unwrap_err();
-        assert_eq!(missing.to_string(), "missing \"sends\" array");
-        let el = parse_schedule_reader(std::io::Cursor::new(
-            "{\"n\": 2, \"lambda\": 1, \"sends\": [{\"dst\": 1, \"at\": 0}]}",
-        ))
-        .unwrap_err();
-        assert_eq!(el.to_string(), "sends[0]: missing \"src\"");
+        whole
+    }
+
+    #[test]
+    fn chunk_boundaries_change_nothing() {
+        for &(text, ..) in ACCEPTED {
+            assert!(!parse_every_chunking(text.as_bytes()).starts_with("error"));
+        }
+        for &(text, message) in REJECTED {
+            assert_eq!(
+                parse_every_chunking(text.as_bytes()),
+                format!("error: {message}")
+            );
+        }
+        // Multi-byte UTF-8 and `\u` escapes straddle 2- and 7-byte reads.
+        let text = r#"{"n":2,"lambda":1,"topology":"é€😀\u00e9\u20ac","sends":[]}"#;
+        assert!(parse_every_chunking(text.as_bytes()).ends_with("topology=Some(\"é€😀é€\")"));
+        let bad: [(&[u8], &str); 3] = [
+            (
+                b"{\"n\": 2, \"x\": \"ab\xff\", \"sends\": []}",
+                "invalid UTF-8 at byte 21",
+            ),
+            (
+                b"{\"n\": 2, \"x\": \"\xe2\x82\", \"sends\": []}",
+                "invalid UTF-8 at byte 19",
+            ),
+            (
+                b"{\"n\": 2, \"x\": \"a\xe2\x82",
+                "unterminated string at byte 18",
+            ),
+        ];
+        for (data, message) in bad {
+            assert_eq!(parse_every_chunking(data), format!("error: {message}"));
+        }
+        // Longer than one refill of the window.
+        let sends = (1..3000)
+            .map(|i| TimedSend {
+                src: i / 2,
+                dst: i,
+                send_start: Time::new(i128::from(i), 2),
+            })
+            .collect();
+        let long = Schedule::new(3000, Latency::from_ratio(5, 2), sends);
+        let text = schedule_to_json(&long, Some(1));
+        assert!(text.len() > CHUNK);
+        assert_eq!(
+            parse_schedule(&text).unwrap().schedule.sends(),
+            long.sends()
+        );
+        parse_every_chunking(text.as_bytes());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Emitted schedules, whole or cut short anywhere, parse alike
+        /// under every chunking, and whole ones round-trip.
+        #[test]
+        fn generated_schedules_parse_alike_under_every_chunking(
+            q in 1i128..8,
+            p in 1i128..40,
+            n in 1u32..12,
+            raw in proptest::collection::vec((0u32..14, 0u32..14, 0i128..200), 0..24),
+            messages in proptest::option::of(1u64..4),
+            cut in 0usize..2000,
+        ) {
+            let lambda = Latency::from_ratio(p.max(q), q);
+            let sends = raw
+                .into_iter()
+                .map(|(src, dst, t)| TimedSend { src, dst, send_start: Time::new(t, q) })
+                .collect();
+            let schedule = Schedule::new(n, lambda, sends);
+            let text = schedule_to_json_with_topology(&schedule, messages, Some("ring"));
+            let whole = parse_every_chunking(text.as_bytes());
+            let file = parse_schedule(&text).unwrap();
+            proptest::prop_assert_eq!(file.schedule.sends(), schedule.sends());
+            proptest::prop_assert_eq!(file.messages, messages);
+            proptest::prop_assert_eq!(file.topology.as_deref(), Some("ring"));
+            proptest::prop_assert_eq!(whole, outcome(Ok(file)));
+            parse_every_chunking(&text.as_bytes()[..cut.min(text.len())]);
+        }
     }
 
     #[test]
