@@ -16,6 +16,10 @@
 //!   at n = 10⁶ must stay under `$STREAM_LINT_MEM_MIB` (default 64)
 //!   MiB — O(n) state, not the O(sends) materialized trace.
 //!
+//! The linter's pending high-water mark
+//! ([`postal_obs::LintStream::pending_high_water`]) — the most sends
+//! booked ahead of the watermark at once — is reported beside it.
+//!
 //! A counting global allocator additionally reports each run's peak
 //! allocation delta, so the "no stored trace" claim is visible as a
 //! number: the inline run's peak should sit near bare + linter bytes,
@@ -97,6 +101,7 @@ fn main() {
             "inline s",
             "overhead ×",
             "linter MiB",
+            "pending max",
             "peak Δ MiB",
         ],
     );
@@ -137,6 +142,7 @@ fn main() {
         let stream = sink.finish();
         assert!(!stream.out_of_order(), "engine feed must be in order");
         let linter_bytes = stream.memory_bytes();
+        let pending_high_water = stream.pending_high_water();
         let diags = stream.finish();
         let errors = diags
             .iter()
@@ -168,7 +174,7 @@ fn main() {
         println!(
             "n = {n:>9}: bare {bare_secs:.3}s, inline {inline_secs:.3}s \
              ({overhead:.2}×), linter {linter_mib:.1} MiB, \
-             peak Δ {peak_delta_mib:+.1} MiB, {} diagnostics",
+             pending max {pending_high_water}, peak Δ {peak_delta_mib:+.1} MiB, {} diagnostics",
             diags.len()
         );
         table.row(vec![
@@ -177,13 +183,18 @@ fn main() {
             format!("{inline_secs:.3}"),
             format!("{overhead:.2}"),
             format!("{linter_mib:.1}"),
+            pending_high_water.to_string(),
             format!("{peak_delta_mib:+.1}"),
         ]);
         report
             .num(&format!("bare_secs_n{n}"), bare_secs)
             .num(&format!("inline_secs_n{n}"), inline_secs)
             .num(&format!("overhead_x_n{n}"), overhead)
-            .num(&format!("linter_mib_n{n}"), linter_mib);
+            .num(&format!("linter_mib_n{n}"), linter_mib)
+            .num(
+                &format!("pending_high_water_n{n}"),
+                pending_high_water as f64,
+            );
         if n == 1_000_000 {
             gate_overhead = overhead;
             gate_linter_mib = linter_mib;

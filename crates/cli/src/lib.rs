@@ -1101,7 +1101,9 @@ struct SimRun {
 fn observed<P>(report: &RunReport<P>, n: usize, m: u32, lam: Latency, want_log: bool) -> SimRun {
     SimRun {
         completion: report.completion,
-        messages: report.messages(),
+        // Every delivered message is one receive; unlike
+        // `report.messages()`, this count survives a discarded trace.
+        messages: report.proc_stats.iter().map(|s| s.recvs as usize).sum(),
         violations: report.violations.len(),
         log: want_log
             .then(|| log_from_report(report, "event", n as u32, Some(lam), Some(m as u64))),
@@ -1137,9 +1139,16 @@ fn run_workload(
             self,
             factory: &dyn Fn(Latency) -> Vec<Box<dyn Program<P>>>,
         ) -> Self::Output {
-            let report = Simulation::new(self.n, &Uniform(self.lam))
-                .run(factory(self.lam))
-                .map_err(sim_failed)?;
+            // Only the event log reads the trace: without one, the
+            // engine keeps none.
+            let lam = Uniform(self.lam);
+            let sim = Simulation::new(self.n, &lam);
+            let sim = if self.want_log {
+                sim
+            } else {
+                sim.discard_trace()
+            };
+            let report = sim.run(factory(self.lam)).map_err(sim_failed)?;
             Ok(observed(&report, self.n, self.m, self.lam, self.want_log))
         }
     }
@@ -1723,6 +1732,36 @@ mod tests {
         for algo in registry_names().iter().chain(&collectives) {
             let out = call(&["simulate", algo, "10", "3", "2"]).unwrap();
             assert!(out.contains("model violations: 0"), "{algo}:\n{out}");
+        }
+    }
+
+    #[test]
+    fn summaries_do_not_depend_on_a_kept_trace() {
+        // Without an export the engine discards its trace and counts
+        // messages from receives; the summary must match a traced run's.
+        let events = std::env::temp_dir().join("postal-cli-test-trace-free.jsonl");
+        let e = events.to_str().unwrap();
+        let collectives = ["combine", "gossip", "scatter"].map(String::from);
+        for algo in registry_names().iter().chain(&collectives) {
+            for (n, lam) in [("1", "2"), ("2", "1"), ("13", "5/2"), ("21", "7/3")] {
+                let base = ["simulate", algo, n, "3", lam];
+                let text = call(&base).unwrap();
+                let traced = call(&[&base[..], &["--events-out", e]].concat()).unwrap();
+                let note = format!("\nwrote JSONL event log to {e}");
+                assert_eq!(
+                    traced.strip_suffix(&note),
+                    Some(text.as_str()),
+                    "{algo} n = {n} λ = {lam}"
+                );
+                let json = |extra: &[&str]| {
+                    call(&[&base[..], &["--format", "json"], extra].concat()).unwrap()
+                };
+                assert_eq!(
+                    json(&["--events-out", e]),
+                    json(&[]),
+                    "{algo} n = {n} λ = {lam}"
+                );
+            }
         }
     }
 

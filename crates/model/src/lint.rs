@@ -62,7 +62,7 @@
 //!   to the passes;
 //! * the **watermark** driver, [`StreamingLint`] in the [`stream`]
 //!   module: a send *stream* — fed live by the simulator or by a JSONL
-//!   log — parked in a pending heap until a watermark proves its
+//!   log — parked in per-start-tick buckets until a watermark proves its
 //!   canonical position, with O(n) memory and no materialized schedule.
 //!
 //! Both end in the same staged finish, so on the same sends they report

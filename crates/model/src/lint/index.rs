@@ -38,11 +38,34 @@ const EMPTY: i64 = i64::MAX;
 /// Sentinel for "value lives in the exact side table".
 const EXACT: i64 = i64::MAX - 1;
 
+/// One time as a pass stores or compares it: its tick on the run's
+/// lattice when it has one, else the exact value. Two ticks compare as
+/// integers; anything else compares exactly.
+#[derive(Clone, Copy)]
+pub(crate) enum Stamp {
+    Tick(i64),
+    Exact(Time),
+}
+
+impl Stamp {
+    /// `t`, given `tick` = its tick on the run's lattice, if any (as
+    /// [`StreamIndex::classify`] and the watermark driver supply it).
+    pub(crate) fn of(t: Time, tick: Option<i64>) -> Stamp {
+        tick.map_or(Stamp::Exact(t), Stamp::Tick)
+    }
+
+    pub(crate) fn time(self, scale: TickScale) -> Time {
+        match self {
+            Stamp::Tick(h) => scale.to_time(h),
+            Stamp::Exact(t) => t,
+        }
+    }
+}
+
 /// Per-processor time storage: an `i64` tick lane with an exact side
 /// table for off-lattice values. Costs 8 bytes per processor plus one
 /// hash entry per processor that ever held an off-lattice time (none
-/// for a stream the simulator produced). Every method takes the run's
-/// scale.
+/// for a stream the simulator produced).
 pub(crate) struct TimeSlots {
     ticks: Vec<i64>,
     exact: HashMap<u32, Time>,
@@ -56,33 +79,33 @@ impl TimeSlots {
         }
     }
 
-    /// Slot `p` in ticks, when it holds a lattice value.
-    pub(crate) fn tick(&self, p: u32) -> Option<i64> {
-        Some(self.ticks[p as usize]).filter(|&h| h != EMPTY && h != EXACT)
-    }
-
-    pub(crate) fn get(&self, p: u32, scale: TickScale) -> Option<Time> {
+    /// Slot `p`, if set.
+    pub(crate) fn stamp(&self, p: u32) -> Option<Stamp> {
         match self.ticks[p as usize] {
             EMPTY => None,
-            EXACT => self.exact.get(&p).copied(),
-            h => Some(scale.to_time(h)),
+            EXACT => self.exact.get(&p).copied().map(Stamp::Exact),
+            h => Some(Stamp::Tick(h)),
         }
     }
 
-    pub(crate) fn put(&mut self, p: u32, t: Time, scale: TickScale) {
-        match scale.to_tick(t) {
-            Some(h) if self.ticks[p as usize] != EXACT => self.ticks[p as usize] = h,
-            _ => {
+    pub(crate) fn get(&self, p: u32, scale: TickScale) -> Option<Time> {
+        self.stamp(p).map(|s| s.time(scale))
+    }
+
+    /// Overwrites slot `p` with `t`, whose tick is `tick` when it has one.
+    pub(crate) fn put(&mut self, p: u32, t: Time, tick: Option<i64>) {
+        match tick {
+            Some(h) => self.put_tick(p, h),
+            None => {
                 self.ticks[p as usize] = EXACT;
                 self.exact.insert(p, t);
             }
         }
     }
 
-    /// Overwrites slot `p`, which [`TimeSlots::tick`] just read as a
-    /// lattice value, with tick `h`.
+    /// Overwrites slot `p` with tick `h`. A stale side-table entry is
+    /// left behind; the tick lane decides which value is live.
     pub(crate) fn put_tick(&mut self, p: u32, h: i64) {
-        debug_assert!(self.tick(p).is_some(), "slot {p} is not on the lattice");
         self.ticks[p as usize] = h;
     }
 
@@ -107,7 +130,7 @@ impl TimeSlots {
             Some(h) => self.set_min_tick(p, h, scale),
             None => match self.get(p, scale) {
                 Some(c) if c <= t => {}
-                _ => self.put(p, t, scale),
+                _ => self.put(p, t, None),
             },
         }
     }
@@ -238,15 +261,30 @@ impl StreamIndex {
         self.first_receipt.get(p, self.scale)
     }
 
+    /// Processor `p`'s first receipt so far as a [`Stamp`].
+    pub(crate) fn first_receipt_stamp(&self, p: u32) -> Option<Stamp> {
+        self.first_receipt.stamp(p)
+    }
+
+    /// `t` as a [`Stamp`] on this run's lattice.
+    fn stamp(&self, t: Time) -> Stamp {
+        Stamp::of(t, self.scale.to_tick(t))
+    }
+
     /// Whether `b` starts less than one unit after `a` (`b < a + 1`):
     /// the `P0001` condition on one sender's consecutive sends and the
     /// `P0002` condition on one receiver's (receive windows are starts
     /// shifted by the constant λ). On ticks whenever both times have
     /// one.
     pub fn lt_one_apart(&self, a: Time, b: Time) -> bool {
-        match (self.scale.to_tick(a), self.scale.to_tick(b)) {
-            (Some(x), Some(y)) => y < x + self.scale.den(),
-            _ => b < a + Time::ONE,
+        self.stamps_lt_one_apart(self.stamp(a), self.stamp(b))
+    }
+
+    /// [`StreamIndex::lt_one_apart`] on stamps.
+    pub(crate) fn stamps_lt_one_apart(&self, a: Stamp, b: Stamp) -> bool {
+        match (a, b) {
+            (Stamp::Tick(x), Stamp::Tick(y)) => y < x + self.scale.den(),
+            _ => b.time(self.scale) < a.time(self.scale) + Time::ONE,
         }
     }
 
@@ -254,9 +292,15 @@ impl StreamIndex {
     /// receipt finishes at or before `t` — the `P0003` causality
     /// condition. On ticks whenever both values have one.
     pub fn informed_by(&self, p: u32, t: Time) -> bool {
-        match (self.first_receipt.tick(p), self.scale.to_tick(t)) {
-            (Some(r), Some(h)) => r <= h,
-            _ => self.first_receipt(p).is_some_and(|r| r <= t),
+        self.informed_by_stamp(p, self.stamp(t))
+    }
+
+    /// [`StreamIndex::informed_by`] on a stamp.
+    pub(crate) fn informed_by_stamp(&self, p: u32, t: Stamp) -> bool {
+        match (self.first_receipt.stamp(p), t) {
+            (None, _) => false,
+            (Some(Stamp::Tick(r)), Stamp::Tick(h)) => r <= h,
+            (Some(r), t) => r.time(self.scale) <= t.time(self.scale),
         }
     }
 
@@ -391,23 +435,23 @@ mod tests {
         assert_eq!(slots.get(0, half), None);
         slots.set_min(0, Time::new(5, 2), half);
         assert_eq!(slots.get(0, half), Some(Time::new(5, 2)));
-        assert_eq!(slots.tick(0), Some(5));
+        assert!(matches!(slots.stamp(0), Some(Stamp::Tick(5))));
         // An off-lattice minimum migrates the slot to the side table...
         slots.set_min(0, Time::new(1, 3), half);
         assert_eq!(slots.get(0, half), Some(Time::new(1, 3)));
-        assert_eq!(slots.tick(0), None);
+        assert!(matches!(slots.stamp(0), Some(Stamp::Exact(_))));
         // ...and later lattice values keep comparing exactly.
         slots.set_min(0, Time::new(1, 4), half);
         assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
         slots.set_min(0, Time::from_int(7), half);
         assert_eq!(slots.get(0, half), Some(Time::new(1, 4)));
-        slots.put(1, Time::new(1, 3), half);
-        slots.put(1, Time::from_int(2), half);
+        slots.put(1, Time::new(1, 3), None);
+        slots.put(1, Time::from_int(2), Some(4));
         assert_eq!(slots.get(1, half), Some(Time::from_int(2)));
         // On sixths, thirds are lattice values.
         let sixths = TickScale::new(6).unwrap();
         let mut slots = TimeSlots::new(1);
         slots.set_min(0, Time::new(7, 3), sixths);
-        assert_eq!(slots.tick(0), Some(14));
+        assert!(matches!(slots.stamp(0), Some(Stamp::Tick(14))));
     }
 }

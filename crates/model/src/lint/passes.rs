@@ -11,10 +11,15 @@
 //!   [`lint_schedule`](super::lint_schedule). A [`Schedule`] is already
 //!   in canonical `(send_start, src, dst)` order, so the driver folds it
 //!   into a [`ScheduleIndex`] and hands `schedule.sends()` straight to
-//!   the passes, with no pending heap.
+//!   the passes, with no pending queue.
 //! * **watermark** — [`StreamingLint`](super::StreamingLint), for a live
-//!   run or a logged stream, which a pending heap restores to canonical
-//!   order (see the [`stream`](super::stream) module).
+//!   run or a logged stream, which per-start-tick pending buckets
+//!   restore to canonical order (see the [`stream`](super::stream)
+//!   module).
+//!
+//! Both drivers hand each send over with its start tick on the run's
+//! lattice ([`StreamEvent::Send`]), so passes run on `i64` ticks and
+//! fall back to exact [`Time`] only for a start off that lattice.
 //!
 //! Both end in one staged finish:
 //!
@@ -36,7 +41,7 @@
 //! which the differential suites assert over the full acceptance grid
 //! for both drivers.
 
-use super::index::{ScheduleIndex, StreamIndex, TimeSlots};
+use super::index::{ScheduleIndex, Stamp, StreamIndex, TimeSlots};
 use super::{diag_order, Diagnostic, LintCode, LintOptions, Severity};
 use crate::fib::GenFib;
 use crate::runtimes;
@@ -61,7 +66,15 @@ pub enum PassStage {
 /// One unit of input, handed to every started pass.
 pub enum StreamEvent<'a> {
     /// A well-formed send, in canonical `(send_start, src, dst)` order.
-    Send(&'a TimedSend),
+    Send {
+        /// The send itself.
+        send: &'a TimedSend,
+        /// `send.send_start` in ticks of the run's lattice
+        /// ([`StreamIndex::scale`]), when it lies on it: computed once by
+        /// the driver, so passes compare and store integers and fall back
+        /// to the exact `Time` only when this is `None`.
+        tick: Option<i64>,
+    },
     /// A structurally malformed send (`P0004` material): in schedule
     /// order from the sorted driver, at observation time in stream
     /// order from the watermark driver.
@@ -185,10 +198,9 @@ impl PassManager {
         let cx = StreamContext { index, opts };
         let mut passes = self.start(index.n(), opts);
         for s in schedule.sends() {
-            let ev = if index.classify(s).1 {
-                StreamEvent::Send(s)
-            } else {
-                StreamEvent::Malformed(s)
+            let ev = match index.classify(s) {
+                (tick, true) => StreamEvent::Send { send: s, tick },
+                (_, false) => StreamEvent::Malformed(s),
             };
             passes.on_event(&cx, &ev);
         }
@@ -347,17 +359,19 @@ struct OutputPortRun {
 
 impl StreamingLintPass for OutputPortRun {
     fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(b) = ev else {
+        let &StreamEvent::Send { send: b, tick } = ev else {
             return;
         };
-        let scale = cx.index.scale();
         let src = b.src;
-        if let Some(a_start) = self.prev_start.get(src, scale) {
-            if cx.index.lt_one_apart(a_start, b.send_start) {
+        if let Some(a_start) = self.prev_start.stamp(src) {
+            if cx
+                .index
+                .stamps_lt_one_apart(a_start, Stamp::of(b.send_start, tick))
+            {
                 let a = TimedSend {
                     src,
                     dst: self.prev_dst[src as usize],
-                    send_start: a_start,
+                    send_start: a_start.time(cx.index.scale()),
                 };
                 self.found.push((
                     src,
@@ -366,7 +380,7 @@ impl StreamingLintPass for OutputPortRun {
                         severity: Severity::Error,
                         witness: None,
                         proc: Some(src),
-                        sends: vec![a, **b],
+                        sends: vec![a, *b],
                         related_time: None,
                         message: format!(
                             "p{src} starts sends at t = {} and t = {} ({} < 1 unit apart)",
@@ -378,7 +392,7 @@ impl StreamingLintPass for OutputPortRun {
                 ));
             }
         }
-        self.prev_start.put(src, b.send_start, scale);
+        self.prev_start.put(src, b.send_start, tick);
         self.prev_dst[src as usize] = b.dst;
     }
 
@@ -429,17 +443,19 @@ struct InputWindowRun {
 
 impl StreamingLintPass for InputWindowRun {
     fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(b) = ev else {
+        let &StreamEvent::Send { send: b, tick } = ev else {
             return;
         };
-        let scale = cx.index.scale();
         let dst = b.dst;
-        if let Some(a_start) = self.prev_start.get(dst, scale) {
-            if cx.index.lt_one_apart(a_start, b.send_start) {
+        if let Some(a_start) = self.prev_start.stamp(dst) {
+            if cx
+                .index
+                .stamps_lt_one_apart(a_start, Stamp::of(b.send_start, tick))
+            {
                 let a = TimedSend {
                     src: self.prev_src[dst as usize],
                     dst,
-                    send_start: a_start,
+                    send_start: a_start.time(cx.index.scale()),
                 };
                 let lam = cx.index.latency();
                 let (f0, f1) = (a.recv_finish(lam), b.recv_finish(lam));
@@ -450,7 +466,7 @@ impl StreamingLintPass for InputWindowRun {
                         severity: Severity::Error,
                         witness: None,
                         proc: Some(dst),
-                        sends: vec![a, **b],
+                        sends: vec![a, *b],
                         related_time: None,
                         message: format!(
                             "p{dst}'s receive windows [{}, {}] and [{}, {}] overlap",
@@ -463,7 +479,7 @@ impl StreamingLintPass for InputWindowRun {
                 ));
             }
         }
-        self.prev_start.put(dst, b.send_start, scale);
+        self.prev_start.put(dst, b.send_start, tick);
         self.prev_src[dst as usize] = b.src;
     }
 
@@ -509,11 +525,15 @@ struct CausalityRun {
 
 impl StreamingLintPass for CausalityRun {
     fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
+        let &StreamEvent::Send { send: s, tick } = ev else {
             return;
         };
-        if s.src != cx.opts.originator && !cx.index.informed_by(s.src, s.send_start) {
-            self.found.push(**s);
+        if s.src != cx.opts.originator
+            && !cx
+                .index
+                .informed_by_stamp(s.src, Stamp::of(s.send_start, tick))
+        {
+            self.found.push(*s);
         }
     }
 
@@ -724,41 +744,40 @@ impl IdlePortRun {
 
 impl StreamingLintPass for IdlePortRun {
     fn on_event(&mut self, cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
+        let &StreamEvent::Send { send: s, tick } = ev else {
             return;
         };
         let src = s.src;
         let scale = cx.index.scale();
-        // Hot path: the port has sent before and both times are ticks.
-        if let (Some(start), Some(cur)) = (scale.to_tick(s.send_start), self.cursor.tick(src)) {
-            if start > cur {
-                self.first_gap
-                    .entry(src)
-                    .or_insert_with(|| scale.to_time(cur));
-            }
-            self.cursor.put_tick(src, cur.max(start + scale.den()));
-            return;
-        }
-        let start = s.send_start;
-        let cur = match self.cursor.get(src, scale) {
+        let start = Stamp::of(s.send_start, tick);
+        let cur = match self.cursor.stamp(src) {
             Some(c) => c,
-            None => {
-                // First send from this port: the cursor opens at the
-                // processor's informed time (garbage-tolerant when the
-                // sender is not yet informed — that is a P0003 error
-                // and suppresses this stage).
-                let informed_at = if src == cx.opts.originator {
-                    Some(Time::ZERO)
-                } else {
-                    cx.index.first_receipt(src)
-                };
-                informed_at.unwrap_or(start)
-            }
+            // First send from this port: the cursor opens at the
+            // processor's informed time (garbage-tolerant when the
+            // sender is not yet informed — that is a P0003 error and
+            // suppresses this stage).
+            None if src == cx.opts.originator => Stamp::Tick(0),
+            None => cx.index.first_receipt_stamp(src).unwrap_or(start),
         };
-        if start > cur {
-            self.first_gap.entry(src).or_insert(cur);
+        match (start, cur) {
+            // Hot path: both times are ticks.
+            (Stamp::Tick(start), Stamp::Tick(cur)) => {
+                if start > cur {
+                    self.first_gap
+                        .entry(src)
+                        .or_insert_with(|| scale.to_time(cur));
+                }
+                self.cursor.put_tick(src, cur.max(start + scale.den()));
+            }
+            (start, cur) => {
+                let (start, cur) = (start.time(scale), cur.time(scale));
+                if start > cur {
+                    self.first_gap.entry(src).or_insert(cur);
+                }
+                let next = cur.max(start + Time::ONE);
+                self.cursor.put(src, next, scale.to_tick(next));
+            }
         }
-        self.cursor.put(src, cur.max(start + Time::ONE), scale);
     }
 
     fn finish(&mut self, cx: &StreamContext<'_>, out: &mut Vec<Diagnostic>) {
@@ -890,7 +909,7 @@ struct NonEdgeRun {
 
 impl StreamingLintPass for NonEdgeRun {
     fn on_event(&mut self, _cx: &StreamContext<'_>, ev: &StreamEvent<'_>) {
-        let StreamEvent::Send(s) = ev else {
+        let &StreamEvent::Send { send: s, .. } = ev else {
             return;
         };
         if self.topo.is_complete() || self.topo.is_edge(s.src, s.dst) {
@@ -902,7 +921,7 @@ impl StreamingLintPass for NonEdgeRun {
             severity: Severity::Error,
             witness: None,
             proc: Some(s.src),
-            sends: vec![**s],
+            sends: vec![*s],
             related_time: None,
             message: format!(
                 "p{} sends to p{} at t = {}, but p{}-p{} is not an edge \

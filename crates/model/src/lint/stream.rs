@@ -21,9 +21,9 @@
 //! live event stream is ordered by simulation time instead, and a send
 //! is observed when it is *issued*, which can precede its start time
 //! (output-port serialization). The driver therefore parks observed
-//! sends in a pending min-heap keyed on `(send_start, src, dst)` and
-//! **finalizes** — pops and feeds to the passes — every send whose key
-//! is strictly below the watermark. As long as the caller only advances
+//! sends as pending and **finalizes** — feeds to the passes, in
+//! `(send_start, src, dst)` order — every send starting strictly below
+//! the watermark. As long as the caller only advances
 //! the watermark to times `t` such that every send starting before `t`
 //! has already been observed (true for the engine's clock and for
 //! timestamp-sorted logs), finalization order is exactly canonical
@@ -34,12 +34,26 @@
 //!
 //! Each send is folded into the run's [`StreamIndex`] when it is
 //! observed, so passes read a running index; the [`index`](super::index)
-//! module explains why no report depends on that. The pending heap
-//! counts `i64` ticks of the stream's lattice (`D = lcm(2, q)` for
-//! λ = p/q), so the hot path runs on machine integers for every
-//! rational λ. An exact [`Time`] heap remains only for externally
-//! supplied send times off that lattice; the two heaps merge by exact
-//! comparison at pop time.
+//! module explains why no report depends on that.
+//!
+//! ## The pending queue
+//!
+//! A postal-model processor books its sends ahead through one output
+//! port, one unit apart, so a live backlog is large but sits on few
+//! distinct start times. Pending sends are therefore **bucketed by start
+//! tick** on the stream's lattice (`D = lcm(2, q)` for λ = p/q): 8 bytes
+//! of `(src, dst)` per send, appended in observation order. When the
+//! watermark passes a tick, its bucket is sorted by `(src, dst)` once —
+//! exactly canonical order for that instant — dispatched whole and
+//! dropped, so pending memory follows the live backlog. An exact
+//! [`Time`] heap remains only for externally supplied send times off
+//! that lattice; it merges with the buckets by exact comparison.
+//!
+//! Each dispatched [`StreamEvent::Send`] carries the start tick the
+//! driver already holds (the bucket key), so the passes compare and
+//! store integers and never convert a tick back and forth. The
+//! [`StreamingLint::pending_high_water`] mark reports the largest
+//! backlog.
 //!
 //! `tests/lint_stream_differential.rs` pins the streamed diagnostics
 //! byte-identical (rendered and JSON) to the sorted driver's over the
@@ -53,7 +67,7 @@ use crate::schedule::{Schedule, TimedSend};
 use crate::time::Time;
 use crate::topology::Topology;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::mem::size_of;
 
 /// The watermark driver: feeds observed sends through the started
@@ -64,11 +78,15 @@ pub struct StreamingLint {
     opts: LintOptions,
     index: StreamIndex,
     passes: StartedPasses,
-    /// Pending sends on the stream's lattice, keyed
-    /// `(start_tick, src, dst)`.
-    pending_fast: BinaryHeap<Reverse<(i64, u32, u32)>>,
+    /// Pending sends on the stream's lattice: `(src, dst)` pairs
+    /// bucketed by start tick, each bucket in observation order.
+    pending_fast: BTreeMap<i64, Vec<(u32, u32)>>,
+    /// Sends across every `pending_fast` bucket.
+    pending_fast_len: usize,
     /// Pending off-lattice sends, keyed `(start, src, dst)`.
     pending_exact: BinaryHeap<Reverse<(Time, u32, u32)>>,
+    /// The most sends ever pending at once.
+    pending_high_water: usize,
     watermark: Time,
     /// The watermark in ticks, when it lies on the lattice.
     watermark_tick: Option<i64>,
@@ -106,8 +124,10 @@ impl StreamingLint {
             opts,
             index: StreamIndex::new(n, latency),
             passes: passes.start(n, &opts),
-            pending_fast: BinaryHeap::new(),
+            pending_fast: BTreeMap::new(),
+            pending_fast_len: 0,
             pending_exact: BinaryHeap::new(),
+            pending_high_water: 0,
             watermark: Time::ZERO,
             watermark_tick: Some(0),
             out_of_order: false,
@@ -138,9 +158,13 @@ impl StreamingLint {
             self.out_of_order = true;
         }
         match start_tick {
-            Some(h) => self.pending_fast.push(Reverse((h, src, dst))),
+            Some(h) => {
+                self.pending_fast.entry(h).or_default().push((src, dst));
+                self.pending_fast_len += 1;
+            }
             None => self.pending_exact.push(Reverse((send_start, src, dst))),
         }
+        self.pending_high_water = self.pending_high_water.max(self.pending_len());
     }
 
     /// Raises the watermark to `t` (never lowers it) and finalizes
@@ -158,69 +182,77 @@ impl StreamingLint {
             self.watermark_tick = tick;
             self.watermark = t;
         }
-        // Integer-only fast path: all pending on-lattice, watermark
-        // on-lattice.
-        if self.pending_exact.is_empty() {
-            if let Some(w) = self.watermark_tick {
-                let scale = self.index.scale();
-                while let Some(&Reverse((h, src, dst))) = self.pending_fast.peek() {
-                    if h >= w {
+        // Everything pending already starts at or after an unmoved
+        // watermark, unless a late send slipped below it.
+        if later || self.out_of_order {
+            self.finalize(false);
+        }
+    }
+
+    /// Dispatches pending sends in canonical order: those starting
+    /// below the watermark, or every one when `all`. The fast lane
+    /// goes a whole start-tick bucket at a time. The two lanes merge by
+    /// exact comparison; a fast-lane and an exact-lane send can never
+    /// share a start time (a time either has a tick on the stream's
+    /// lattice or it does not), so the merge is unambiguous.
+    fn finalize(&mut self, all: bool) {
+        let scale = self.index.scale();
+        loop {
+            let exact = self.pending_exact.peek().map(|&Reverse((t, _, _))| t);
+            let fast = self
+                .pending_fast
+                .first_key_value()
+                .map(|(&h, _)| h)
+                .filter(|&h| exact.is_none_or(|e| scale.to_time(h) < e));
+            match (fast, exact) {
+                (Some(h), _) => {
+                    let below = match self.watermark_tick {
+                        Some(w) => h < w,
+                        None => scale.to_time(h) < self.watermark,
+                    };
+                    if !(all || below) {
                         return;
                     }
-                    self.pending_fast.pop();
-                    self.dispatch(&StreamEvent::Send(&TimedSend {
+                    let (_, bucket) = self.pending_fast.pop_first().expect("peeked");
+                    self.dispatch_bucket(h, bucket);
+                }
+                (None, Some(e)) => {
+                    if !(all || e < self.watermark) {
+                        return;
+                    }
+                    let Reverse((send_start, src, dst)) = self.pending_exact.pop().expect("peeked");
+                    let send = TimedSend {
                         src,
                         dst,
-                        send_start: scale.to_time(h),
-                    }));
+                        send_start,
+                    };
+                    self.dispatch(&StreamEvent::Send {
+                        send: &send,
+                        tick: None,
+                    });
                 }
-                return;
+                (None, None) => return,
             }
-        }
-        while let Some(s) = self.peek_min() {
-            if s.send_start >= self.watermark {
-                return;
-            }
-            self.pop_min();
-            self.dispatch(&StreamEvent::Send(&s));
         }
     }
 
-    /// The smaller of the two heap tops, by exact key. A fast-lane and
-    /// an exact-lane entry can never carry the same start time (a time
-    /// either has a tick on the stream's lattice or it does not), so the
-    /// merge is unambiguous.
-    fn peek_min(&self) -> Option<TimedSend> {
-        let scale = self.index.scale();
-        let fast = self
-            .pending_fast
-            .peek()
-            .map(|&Reverse((h, src, dst))| (scale.to_time(h), src, dst));
-        let exact = self.pending_exact.peek().map(|&Reverse(key)| key);
-        let (send_start, src, dst) = match (fast, exact) {
-            (Some(f), Some(e)) => f.min(e),
-            (f, e) => f.or(e)?,
-        };
-        Some(TimedSend {
-            src,
-            dst,
-            send_start,
-        })
-    }
-
-    fn pop_min(&mut self) {
-        match (self.pending_fast.peek(), self.pending_exact.peek()) {
-            (Some(&Reverse((h, fs, fd))), Some(&Reverse(e)))
-                if (self.index.scale().to_time(h), fs, fd) > e =>
-            {
-                self.pending_exact.pop();
-            }
-            (Some(_), _) => {
-                self.pending_fast.pop();
-            }
-            (None, _) => {
-                self.pending_exact.pop();
-            }
+    /// Dispatches every send starting at tick `h`. Sorting the bucket
+    /// by `(src, dst)` puts it in canonical order; the bucket is then
+    /// dropped, so pending memory follows the live backlog.
+    fn dispatch_bucket(&mut self, h: i64, mut bucket: Vec<(u32, u32)>) {
+        self.pending_fast_len -= bucket.len();
+        bucket.sort_unstable();
+        let send_start = self.index.scale().to_time(h);
+        for (src, dst) in bucket {
+            let send = TimedSend {
+                src,
+                dst,
+                send_start,
+            };
+            self.dispatch(&StreamEvent::Send {
+                send: &send,
+                tick: Some(h),
+            });
         }
     }
 
@@ -247,14 +279,27 @@ impl StreamingLint {
 
     /// Sends observed but not yet finalized.
     pub fn pending_len(&self) -> usize {
-        self.pending_fast.len() + self.pending_exact.len()
+        self.pending_fast_len + self.pending_exact.len()
+    }
+
+    /// The most sends ever pending at once: how far ahead of the
+    /// watermark the feed booked its sends.
+    pub fn pending_high_water(&self) -> usize {
+        self.pending_high_water
     }
 
     /// Currently reserved linter heap bytes, by container capacity:
-    /// pending heaps, the shared index, and every pass's state. This is
-    /// the number the `exp_stream_lint` budget gates.
+    /// pending sends, the shared index, and every pass's state. This is
+    /// the number the `exp_stream_lint` budget gates. Tree nodes are
+    /// counted as one key and one `Vec` header per bucket.
     pub fn memory_bytes(&self) -> usize {
-        self.pending_fast.capacity() * size_of::<Reverse<(i64, u32, u32)>>()
+        let buckets = self.pending_fast.len() * size_of::<(i64, Vec<(u32, u32)>)>()
+            + self
+                .pending_fast
+                .values()
+                .map(|b| b.capacity() * size_of::<(u32, u32)>())
+                .sum::<usize>();
+        buckets
             + self.pending_exact.capacity() * size_of::<Reverse<(Time, u32, u32)>>()
             + self.index.memory_bytes()
             + self.passes.memory_bytes()
@@ -264,10 +309,7 @@ impl StreamingLint {
     /// sorted driver runs (see [`passes`](super::passes)).
     pub fn finish(mut self) -> Vec<Diagnostic> {
         // Drain: everything still pending is final now.
-        while let Some(s) = self.peek_min() {
-            self.pop_min();
-            self.dispatch(&StreamEvent::Send(&s));
-        }
+        self.finalize(true);
         let cx = StreamContext {
             index: &self.index,
             opts: &self.opts,
@@ -389,7 +431,7 @@ mod tests {
     #[test]
     fn observation_order_within_a_watermark_step_is_immaterial() {
         // Three same-instant sends observed in reverse processor order:
-        // the pending heap restores canonical order before any pass
+        // sorting their bucket restores canonical order before any pass
         // sees them.
         let sends = [send(2, 3, 0, 1), send(1, 2, 0, 1), send(0, 1, 0, 1)];
         let mut lint = StreamingLint::new(4, Latency::from_int(2), LintOptions::ports_only());

@@ -140,6 +140,12 @@ impl LintStream {
         self.inner.memory_bytes()
     }
 
+    /// The most sends ever pending at once (see
+    /// [`StreamingLint::pending_high_water`]).
+    pub fn pending_high_water(&self) -> usize {
+        self.inner.pending_high_water()
+    }
+
     /// Completion time over every send observed so far — the instant
     /// the last delivery lands, matching `Schedule::completion`.
     pub fn completion(&self) -> postal_model::Time {

@@ -1449,6 +1449,47 @@ mod tests {
     }
 
     #[test]
+    fn receive_counts_match_the_trace_under_faults() {
+        // `simulate` counts messages from `recvs` when it discards the
+        // trace: dropped and crashed deliveries must be missing from both.
+        let lam = Uniform(Latency::from_int(2));
+        let programs = || -> Vec<Box<dyn Program<u8>>> {
+            vec![
+                Box::new(Spray(vec![1, 2, 3, 4, 5])),
+                Box::new(Relay(Some(5))),
+                Box::new(Relay(Some(3))),
+                Box::new(Relay(Some(4))),
+                Box::new(Relay(None)),
+                Box::new(Relay(None)),
+            ]
+        };
+        let plan = || {
+            crate::faults::FaultPlan::none()
+                .dropping(1)
+                .crashing(ProcId(4), Time::from_int(5))
+        };
+        let fast = Simulation::new(6, &lam)
+            .faults(plan())
+            .run(programs())
+            .unwrap();
+        let reference = Simulation::new(6, &lam)
+            .faults(plan())
+            .run_reference(programs())
+            .unwrap();
+        for report in [&fast, &reference] {
+            let recvs: u64 = report.proc_stats.iter().map(|s| s.recvs).sum();
+            let sends: u64 = report.proc_stats.iter().map(|s| s.sends).sum();
+            assert_eq!(recvs as usize, report.trace.len());
+            assert_eq!(sends, 7);
+            // p2's only message is dropped; p4 crashes before p3's
+            // relay lands.
+            assert_eq!(report.proc_stats[2].recvs, 0);
+            assert!(report.proc_stats[4].recvs < 2);
+        }
+        assert_eq!(fast.trace.len(), reference.trace.len());
+    }
+
+    #[test]
     fn observe_streams_fault_events() {
         let lam = Uniform(Latency::from_int(2));
         let rec = postal_obs::MemoryRecorder::new();
