@@ -10,6 +10,7 @@
 use crate::cascade::{cascade, Orientation};
 use postal_model::{GenFib, Latency};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// The payload of a BCAST transfer: the delegated range size. The
 /// receiver becomes responsible for processors `me .. me + range_size`
@@ -28,21 +29,28 @@ pub struct BcastPayload {
 /// optimally from any originator, not just `p_0` (the paper fixes the
 /// originator at `p_0` without loss of generality; the rotation makes
 /// that explicit).
+///
+/// Every program of a set shares one `F_λ` table (see
+/// [`BcastProgram::evaluator`]): the cascade depends on λ alone.
 pub struct BcastProgram {
-    fib: GenFib,
+    fib: Arc<GenFib>,
     /// `Some(n)` on the originator; `None` elsewhere (they learn their
     /// range from the payload).
     root_range: Option<u64>,
 }
 
 impl BcastProgram {
-    /// Creates the program for one processor. `root_range` is `Some(n)`
-    /// for the originator and `None` for everyone else.
-    pub fn new(latency: Latency, root_range: Option<u64>) -> BcastProgram {
-        BcastProgram {
-            fib: GenFib::new(latency),
-            root_range,
-        }
+    /// The `F_λ` evaluator a BCAST set on `n` processors shares: its
+    /// table covers every range up to `n`.
+    pub fn evaluator(n: usize, latency: Latency) -> Arc<GenFib> {
+        Arc::new(GenFib::covering(latency, n as u128))
+    }
+
+    /// Creates the program for one processor from the set's shared
+    /// evaluator. `root_range` is `Some(n)` for the originator and
+    /// `None` for everyone else.
+    pub fn new(fib: Arc<GenFib>, root_range: Option<u64>) -> BcastProgram {
+        BcastProgram { fib, root_range }
     }
 
     fn broadcast_range(&self, ctx: &mut dyn Context<BcastPayload>, range_size: u64) {
@@ -78,12 +86,7 @@ impl Program<BcastPayload> for BcastProgram {
 
 /// Builds the `n` BCAST programs for MPS(n, λ).
 pub fn bcast_programs(n: usize, latency: Latency) -> Vec<Box<dyn Program<BcastPayload>>> {
-    programs_from(n, |id| {
-        Box::new(BcastProgram::new(
-            latency,
-            (id == ProcId::ROOT).then_some(n as u64),
-        ))
-    })
+    bcast_programs_from(0, n, latency)
 }
 
 /// Runs BCAST in a strict-mode simulation of MPS(n, λ) and returns the
@@ -110,9 +113,10 @@ pub fn bcast_programs_from(
     latency: Latency,
 ) -> Vec<Box<dyn Program<BcastPayload>>> {
     assert!(root < n, "originator must be one of the n processors");
+    let fib = BcastProgram::evaluator(n, latency);
     programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            latency,
+            fib.clone(),
             (id.index() == root).then_some(n as u64),
         ))
     })

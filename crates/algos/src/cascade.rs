@@ -44,11 +44,13 @@ pub struct CascadeSend {
     pub size: u64,
 }
 
-/// Computes the full send cascade for a processor responsible for `size`
-/// processors (itself included), in send order.
+/// The send cascade of a processor responsible for `size` processors
+/// (itself included), in send order: one split of the BCAST recursion
+/// per item, computed as it is consumed, so a program sends straight
+/// from the split loop without collecting the cascade first.
 ///
-/// The returned sends partition `{1, …, size−1}`: every processor in the
-/// range except the sender itself is covered by exactly one delegated
+/// The sends partition `{1, …, size−1}`: every processor in the range
+/// except the sender itself is covered by exactly one delegated
 /// sub-range.
 ///
 /// ```
@@ -57,48 +59,61 @@ pub struct CascadeSend {
 ///
 /// // Figure 1's root: first delegate sits at offset 9 and inherits 5
 /// // processors.
-/// let fib = GenFib::new(Latency::from_ratio(5, 2));
-/// let sends = cascade(&fib, 14, Orientation::Standard);
+/// let fib = GenFib::covering(Latency::from_ratio(5, 2), 14);
+/// let sends: Vec<_> = cascade(&fib, 14, Orientation::Standard).collect();
 /// assert_eq!((sends[0].offset, sends[0].size), (9, 5));
 /// assert_eq!(sends.len(), 6); // the root transmits for 6 units
 /// ```
 ///
 /// # Panics
 /// Panics if `size == 0`.
-pub fn cascade(fib: &GenFib, size: u64, orientation: Orientation) -> Vec<CascadeSend> {
+pub fn cascade(fib: &GenFib, size: u64, orientation: Orientation) -> Cascade<'_> {
     assert!(size >= 1, "a range must contain at least the sender");
-    let mut sends = Vec::new();
-    let mut s = size as u128;
-    // `base` is the current range's start offset relative to the original
-    // sender; the sender always sits at `base` itself in Standard
-    // orientation. In Swapped orientation the sender keeps the *front*
-    // block, so base stays 0 and the delegate block is taken off the back.
-    match orientation {
-        Orientation::Standard => {
-            while s > 1 {
-                let j = fib.bcast_split(s);
+    Cascade {
+        fib,
+        s: size as u128,
+        orientation,
+    }
+}
+
+/// Iterator over a cascade's sends; see [`cascade`].
+#[derive(Debug, Clone)]
+pub struct Cascade<'a> {
+    fib: &'a GenFib,
+    /// Size of the range the sender still splits; the sender sits at
+    /// its offset 0 in both orientations.
+    s: u128,
+    orientation: Orientation,
+}
+
+impl Iterator for Cascade<'_> {
+    type Item = CascadeSend;
+
+    fn next(&mut self) -> Option<CascadeSend> {
+        if self.s <= 1 {
+            return None;
+        }
+        let (s, j) = (self.s, self.fib.bcast_split(self.s));
+        Some(match self.orientation {
+            Orientation::Standard => {
                 // Delegate [j, s) — the smaller piece — and keep [0, j).
-                sends.push(CascadeSend {
+                self.s = j;
+                CascadeSend {
                     offset: j as u64,
                     size: (s - j) as u64,
-                });
-                s = j;
+                }
             }
-        }
-        Orientation::Swapped => {
-            while s > 1 {
-                let j = fib.bcast_split(s);
+            Orientation::Swapped => {
                 // Delegate the *larger* piece [s−j, s) of size j; keep
                 // [0, s−j).
-                sends.push(CascadeSend {
+                self.s = s - j;
+                CascadeSend {
                     offset: (s - j) as u64,
                     size: j as u64,
-                });
-                s -= j;
+                }
             }
-        }
+        })
     }
-    sends
 }
 
 /// Verifies that a cascade partitions the non-sender part of the range
@@ -129,8 +144,8 @@ mod tests {
         // responsible for 9 — to offset 6 (size 3), then 4 (size 2),
         // 3 (size 1), 2 (size 1), 1 (size 1): matching Figure 1, where p0
         // sends at t = 0, 1, 2, 3, 4, 5.
-        let fib = GenFib::new(Latency::from_ratio(5, 2));
-        let sends = cascade(&fib, 14, Orientation::Standard);
+        let fib = GenFib::covering(Latency::from_ratio(5, 2), 300);
+        let sends = cascade(&fib, 14, Orientation::Standard).collect::<Vec<_>>();
         assert_eq!(
             sends,
             vec![
@@ -146,20 +161,20 @@ mod tests {
 
     #[test]
     fn singleton_range_has_no_sends() {
-        let fib = GenFib::new(Latency::TELEPHONE);
-        assert!(cascade(&fib, 1, Orientation::Standard).is_empty());
-        assert!(cascade(&fib, 1, Orientation::Swapped).is_empty());
+        let fib = GenFib::covering(Latency::TELEPHONE, 300);
+        assert_eq!(cascade(&fib, 1, Orientation::Standard).next(), None);
+        assert_eq!(cascade(&fib, 1, Orientation::Swapped).next(), None);
     }
 
     #[test]
     fn pair_sends_once() {
-        let fib = GenFib::new(Latency::from_ratio(5, 2));
+        let fib = GenFib::covering(Latency::from_ratio(5, 2), 300);
         assert_eq!(
-            cascade(&fib, 2, Orientation::Standard),
+            cascade(&fib, 2, Orientation::Standard).collect::<Vec<_>>(),
             vec![CascadeSend { offset: 1, size: 1 }]
         );
         assert_eq!(
-            cascade(&fib, 2, Orientation::Swapped),
+            cascade(&fib, 2, Orientation::Swapped).collect::<Vec<_>>(),
             vec![CascadeSend { offset: 1, size: 1 }]
         );
     }
@@ -172,10 +187,10 @@ mod tests {
             Latency::from_ratio(5, 2),
             Latency::from_int(4),
         ] {
-            let fib = GenFib::new(lam);
+            let fib = GenFib::covering(lam, 300);
             for size in 1..=300u64 {
                 for orientation in [Orientation::Standard, Orientation::Swapped] {
-                    let sends = cascade(&fib, size, orientation);
+                    let sends: Vec<_> = cascade(&fib, size, orientation).collect();
                     assert!(
                         covers_range(&sends, size),
                         "λ={lam} size={size} {orientation:?}"
@@ -188,8 +203,8 @@ mod tests {
     #[test]
     fn telephone_standard_is_binomial_halving() {
         // λ = 1: recursive halving (hypercube/binomial broadcast).
-        let fib = GenFib::new(Latency::TELEPHONE);
-        let sends = cascade(&fib, 16, Orientation::Standard);
+        let fib = GenFib::covering(Latency::TELEPHONE, 300);
+        let sends: Vec<_> = cascade(&fib, 16, Orientation::Standard).collect();
         assert_eq!(
             sends,
             vec![
@@ -207,13 +222,13 @@ mod tests {
         // *who* keeps the big half; the first swapped send must delegate
         // the piece the standard sender would have kept... for the first
         // split: standard delegates s−j, swapped delegates j.
-        let fib = GenFib::new(Latency::from_int(2));
+        let fib = GenFib::covering(Latency::from_int(2), 300);
         for size in 2..200u64 {
             let j = fib.bcast_split(size as u128) as u64;
-            let std = cascade(&fib, size, Orientation::Standard);
-            let swp = cascade(&fib, size, Orientation::Swapped);
-            assert_eq!(std[0].size, size - j);
-            assert_eq!(swp[0].size, j);
+            let std = cascade(&fib, size, Orientation::Standard).next().unwrap();
+            let swp = cascade(&fib, size, Orientation::Swapped).next().unwrap();
+            assert_eq!(std.size, size - j);
+            assert_eq!(swp.size, j);
         }
     }
 

@@ -24,6 +24,7 @@ use crate::bcast::{bcast_programs, BcastPayload};
 use postal_model::{GenFib, Latency, Time};
 use postal_sim::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Runs a λ0-optimal BCAST tree while the real latency follows `profile`.
 /// Queued port mode: wrong assumptions may cause receive contention,
@@ -45,8 +46,9 @@ pub type AdaptivePayload = BcastPayload;
 /// Per-processor adaptive BCAST program.
 pub struct AdaptiveProgram {
     profile: TimeVarying,
-    /// One Fibonacci evaluator per λ value seen (profiles have few steps).
-    fibs: HashMap<Latency, GenFib>,
+    /// One Fibonacci evaluator per λ of the profile (profiles have few
+    /// steps), shared by the whole program set.
+    fibs: Arc<HashMap<Latency, GenFib>>,
     /// Remaining range this processor is responsible for (itself
     /// included); sends are decided one at a time.
     pending: u64,
@@ -55,12 +57,27 @@ pub struct AdaptiveProgram {
 }
 
 impl AdaptiveProgram {
-    /// Creates the program for one processor; `root_range` is `Some(n)`
-    /// on `p_0`.
-    pub fn new(profile: TimeVarying, root_range: Option<u64>) -> AdaptiveProgram {
+    /// The evaluators a set of `n` processors under `profile` shares:
+    /// one per step latency, each covering every range up to `n`.
+    pub fn evaluators(n: usize, profile: &TimeVarying) -> Arc<HashMap<Latency, GenFib>> {
+        let fibs = profile
+            .steps()
+            .iter()
+            .map(|&(_, lam)| (lam, GenFib::covering(lam, n as u128)));
+        Arc::new(fibs.collect())
+    }
+
+    /// Creates the program for one processor from the set's shared
+    /// [`AdaptiveProgram::evaluators`]; `root_range` is `Some(n)` on
+    /// `p_0`.
+    pub fn new(
+        profile: TimeVarying,
+        fibs: Arc<HashMap<Latency, GenFib>>,
+        root_range: Option<u64>,
+    ) -> AdaptiveProgram {
         AdaptiveProgram {
             profile,
-            fibs: HashMap::new(),
+            fibs,
             pending: 1,
             root_range,
         }
@@ -73,8 +90,7 @@ impl AdaptiveProgram {
             return;
         }
         let lam = self.profile.at(ctx.now());
-        let fib = self.fibs.entry(lam).or_insert_with(|| GenFib::new(lam));
-        let j = fib.bcast_split(self.pending as u128) as u64;
+        let j = self.fibs[&lam].bcast_split(self.pending as u128) as u64;
         // Standard orientation: keep [0, j), delegate [j, pending).
         let me = ctx.me().index() as u64;
         ctx.send(
@@ -115,9 +131,11 @@ impl Program<BcastPayload> for AdaptiveProgram {
 
 /// Builds the adaptive programs for MPS(n, λ(t)).
 pub fn adaptive_programs(n: usize, profile: &TimeVarying) -> Vec<Box<dyn Program<BcastPayload>>> {
+    let fibs = AdaptiveProgram::evaluators(n, profile);
     programs_from(n, |id| {
         Box::new(AdaptiveProgram::new(
             profile.clone(),
+            fibs.clone(),
             (id == ProcId::ROOT).then_some(n as u64),
         ))
     })

@@ -15,6 +15,7 @@ use crate::cascade::{cascade, Orientation};
 use crate::fib_tree::{BroadcastTree, TreeNode};
 use postal_model::{GenFib, Latency, Time};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// All-reduce payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +33,8 @@ pub enum ArPacket {
 
 /// Per-processor all-reduce program.
 pub struct AllReduceProgram {
-    fib: GenFib,
+    /// `F_λ` evaluator shared by the whole program set.
+    fib: Arc<GenFib>,
     value: u64,
     /// Combine-phase plan (from the reversed broadcast tree).
     parent: Option<ProcId>,
@@ -145,10 +147,11 @@ pub fn run_allreduce(values: &[u64], latency: Latency) -> AllReduceOutcome {
     }
     collect(&tree.root, None, horizon, &mut plans);
 
+    let fib = Arc::new(GenFib::covering(latency, n as u128));
     let mut programs: Vec<Box<dyn Program<ArPacket>>> = Vec::with_capacity(n);
     for (i, plan) in plans.iter().enumerate() {
         programs.push(Box::new(AllReduceProgram {
-            fib: GenFib::new(latency),
+            fib: fib.clone(),
             value: values[i],
             parent: plan.parent,
             send_at: plan.send_at,

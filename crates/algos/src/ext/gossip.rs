@@ -20,9 +20,10 @@
 
 use crate::multi::MultiPacket;
 use crate::pipeline::PipelineProgram;
-use postal_model::{runtimes, Latency, Time};
+use postal_model::{runtimes, GenFib, Latency, Time};
 use postal_sim::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Gossip payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +93,21 @@ pub struct GossipProgram {
 }
 
 impl GossipProgram {
-    /// Creates the program for one processor holding `value`.
-    pub fn new(me: ProcId, n: usize, value: u64, latency: Latency) -> GossipProgram {
+    /// The evaluator a gossip set on `n` processors shares: the one of
+    /// its `n`-message PIPELINE stream.
+    pub fn evaluator(n: usize, latency: Latency) -> Arc<GenFib> {
+        PipelineProgram::evaluator(n, n as u32, latency)
+    }
+
+    /// Creates the program for one processor holding `value`, from the
+    /// set's shared [`GossipProgram::evaluator`].
+    pub fn new(
+        me: ProcId,
+        n: usize,
+        value: u64,
+        latency: Latency,
+        fib: Arc<GenFib>,
+    ) -> GossipProgram {
         let is_root = me == ProcId::ROOT;
         let mut learned = HashMap::new();
         // Every processor knows its own value; message index is
@@ -102,7 +116,7 @@ impl GossipProgram {
         GossipProgram {
             value,
             n,
-            pipeline: PipelineProgram::new(latency, n as u32, is_root.then_some(n as u64)),
+            pipeline: PipelineProgram::new(fib, n as u32, latency, is_root.then_some(n as u64)),
             learned,
             gathered: 1, // own value
             is_root,
@@ -188,9 +202,15 @@ impl GossipOutcome {
 pub fn run_gossip(values: &[u64], latency: Latency) -> GossipOutcome {
     let n = values.len();
     assert!(n >= 1, "gossip needs at least one processor");
+    let fib = GossipProgram::evaluator(n, latency);
     let programs = programs_from(n, |id| {
-        Box::new(GossipProgram::new(id, n, values[id.index()], latency))
-            as Box<dyn Program<GossipPacket>>
+        Box::new(GossipProgram::new(
+            id,
+            n,
+            values[id.index()],
+            latency,
+            fib.clone(),
+        )) as Box<dyn Program<GossipPacket>>
     });
     let model = Uniform(latency);
     let report = Simulation::new(n, &model)

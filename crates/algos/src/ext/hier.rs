@@ -23,6 +23,7 @@
 use crate::cascade::{cascade, Orientation};
 use postal_model::{GenFib, Latency};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// Payload for hierarchical broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,26 +46,46 @@ pub enum HierPacket {
 pub struct HierProgram {
     cluster_size: u64,
     n: u64,
-    remote_fib: GenFib,
-    local_fib: GenFib,
+    /// `F_λ` at the remote latency, over clusters; shared by the set.
+    remote_fib: Arc<GenFib>,
+    /// `F_λ` at the local latency, within a cluster; shared by the set.
+    local_fib: Arc<GenFib>,
     is_root: bool,
 }
 
 impl HierProgram {
-    /// Creates the program for one processor of a block-clustered system.
-    pub fn new(
+    /// The `(local, remote)` evaluators a set of `n` processors in
+    /// clusters of `cluster_size` shares.
+    ///
+    /// # Panics
+    /// Panics if `cluster_size == 0`.
+    pub fn evaluators(
         n: u64,
         cluster_size: u64,
         local: Latency,
         remote: Latency,
+    ) -> (Arc<GenFib>, Arc<GenFib>) {
+        assert!(cluster_size >= 1);
+        (
+            Arc::new(GenFib::covering(local, cluster_size as u128)),
+            Arc::new(GenFib::covering(remote, n.div_ceil(cluster_size) as u128)),
+        )
+    }
+
+    /// Creates the program for one processor of a block-clustered
+    /// system, from the set's shared [`HierProgram::evaluators`].
+    pub fn new(
+        n: u64,
+        cluster_size: u64,
+        (local_fib, remote_fib): (Arc<GenFib>, Arc<GenFib>),
         is_root: bool,
     ) -> HierProgram {
         assert!(cluster_size >= 1);
         HierProgram {
             cluster_size,
             n,
-            remote_fib: GenFib::new(remote),
-            local_fib: GenFib::new(local),
+            remote_fib,
+            local_fib,
             is_root,
         }
     }
@@ -136,12 +157,12 @@ pub fn run_hierarchical(
     remote: Latency,
 ) -> RunReport<HierPacket> {
     let model = Hierarchical::blocks(n, cluster_size, local, remote);
+    let fibs = HierProgram::evaluators(n as u64, cluster_size as u64, local, remote);
     let programs = programs_from(n, |id| {
         Box::new(HierProgram::new(
             n as u64,
             cluster_size as u64,
-            local,
-            remote,
+            fibs.clone(),
             id == ProcId::ROOT,
         )) as Box<dyn Program<HierPacket>>
     });

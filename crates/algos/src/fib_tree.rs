@@ -81,7 +81,7 @@ impl BroadcastTree {
     /// Panics if `n == 0`.
     pub fn build(n: u64, latency: Latency) -> BroadcastTree {
         assert!(n >= 1, "a broadcast tree needs at least one processor");
-        let fib = GenFib::new(latency);
+        let fib = GenFib::covering(latency, n as u128);
         let root = build_node(&fib, latency, 0, n, Time::ZERO);
         BroadcastTree { n, latency, root }
     }

@@ -40,7 +40,8 @@ pub struct FloodOutcome {
 impl FloodOutcome {
     /// Checks the Lemma 5 identity: informed(k ticks) = min(F_λ, n).
     pub fn informed_curve_matches(&self, n: u64) -> bool {
-        let fib = GenFib::new(self.latency);
+        let horizon = self.informed.len().saturating_sub(1);
+        let fib = GenFib::through_ticks(self.latency, horizon);
         self.informed
             .iter()
             .enumerate()

@@ -57,7 +57,7 @@ pub mod replay;
 pub mod svg;
 
 pub use bcast::{bcast_programs, bcast_programs_from, run_bcast, run_bcast_from, BcastProgram};
-pub use cascade::{cascade, CascadeSend, Orientation};
+pub use cascade::{cascade, Cascade, CascadeSend, Orientation};
 pub use dtree::{dtree_exact_time, run_dtree, DtreeProgram};
 pub use fib_tree::{BroadcastTree, TreeNode};
 pub use flood::{flood_schedule, FloodOutcome};

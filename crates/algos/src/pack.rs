@@ -8,15 +8,17 @@
 //! "one pack-send = m atomic sends" the system behaves exactly like
 //! MPS(n, λ'), giving `T_PK = m·f_{λ'}(n)`.
 
-use crate::cascade::{cascade, CascadeSend, Orientation};
+use crate::cascade::{cascade, Orientation};
 use crate::multi::{run_multi, MultiPacket, MultiReport};
 use postal_model::{runtimes, GenFib, Latency};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// Per-processor PACK program.
 pub struct PackProgram {
-    /// Fibonacci evaluator at the normalized latency λ'.
-    fib: GenFib,
+    /// Fibonacci evaluator at the normalized latency λ', shared by the
+    /// whole program set.
+    fib: Arc<GenFib>,
     m: u32,
     /// `Some(n)` on the originator.
     root_range: Option<u64>,
@@ -27,12 +29,21 @@ pub struct PackProgram {
 }
 
 impl PackProgram {
-    /// Creates the program for one processor; `root_range` is `Some(n)`
-    /// on `p_0`.
-    pub fn new(latency: Latency, m: u32, root_range: Option<u64>) -> PackProgram {
+    /// The evaluator a PACK set on `n` processors shares: `F_λ'` at the
+    /// normalized latency `λ' = 1 + (λ−1)/m`, covering every range up
+    /// to `n`.
+    pub fn evaluator(n: usize, m: u32, latency: Latency) -> Arc<GenFib> {
+        assert!(m >= 1);
+        let normalized = runtimes::pack_normalized_latency(m as u64, latency);
+        Arc::new(GenFib::covering(normalized, n as u128))
+    }
+
+    /// Creates the program for one processor from the set's shared
+    /// [`PackProgram::evaluator`]; `root_range` is `Some(n)` on `p_0`.
+    pub fn new(fib: Arc<GenFib>, m: u32, root_range: Option<u64>) -> PackProgram {
         assert!(m >= 1);
         PackProgram {
-            fib: GenFib::new(runtimes::pack_normalized_latency(m as u64, latency)),
+            fib,
             m,
             root_range,
             received: 0,
@@ -44,8 +55,7 @@ impl PackProgram {
     /// packets back-to-back.
     fn forward_pack(&self, ctx: &mut dyn Context<MultiPacket>, range_size: u64) {
         let me = ctx.me().index() as u64;
-        let sends: Vec<CascadeSend> = cascade(&self.fib, range_size, Orientation::Standard);
-        for send in sends {
+        for send in cascade(&self.fib, range_size, Orientation::Standard) {
             for msg in 1..=self.m {
                 ctx.send(
                     ProcId::from((me + send.offset) as usize),
@@ -89,9 +99,10 @@ impl Program<MultiPacket> for PackProgram {
 
 /// Builds the PACK programs for broadcasting `m` messages in MPS(n, λ).
 pub fn pack_programs(n: usize, m: u32, latency: Latency) -> Vec<Box<dyn Program<MultiPacket>>> {
+    let fib = PackProgram::evaluator(n, m, latency);
     programs_from(n, |id| {
         Box::new(PackProgram::new(
-            latency,
+            fib.clone(),
             m,
             (id == ProcId::ROOT).then_some(n as u64),
         ))

@@ -29,11 +29,13 @@ use postal_model::ratio::Ratio;
 use postal_model::runtimes::{pipeline_regime, PipelineRegime};
 use postal_model::{GenFib, Latency};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// Per-processor PIPELINE program (either regime).
 pub struct PipelineProgram {
-    /// Fibonacci evaluator at the normalized latency λ'.
-    fib: GenFib,
+    /// Fibonacci evaluator at the normalized latency λ', shared by the
+    /// whole program set.
+    fib: Arc<GenFib>,
     orientation: Orientation,
     m: u32,
     /// `Some(n)` on the originator.
@@ -42,28 +44,52 @@ pub struct PipelineProgram {
     targets: Option<Vec<CascadeSend>>,
 }
 
+/// The normalized latency λ' of `m` messages at latency λ (see the
+/// module docs).
+fn normalized(m: u32, latency: Latency) -> Latency {
+    assert!(m >= 1, "at least one message must be broadcast");
+    let lam = latency.value();
+    let m_r = Ratio::from_int(m as i128);
+    match pipeline_regime(m as u64, latency) {
+        PipelineRegime::Short => Latency::new(lam / m_r).expect("m ≤ λ keeps λ/m ≥ 1"),
+        PipelineRegime::Long => Latency::new(m_r / lam).expect("m ≥ λ keeps m/λ ≥ 1"),
+    }
+}
+
 impl PipelineProgram {
-    /// Creates the program for one processor; `root_range` is `Some(n)`
-    /// on `p_0`.
+    /// The evaluator a PIPELINE set on `n` processors shares: `F_λ'` at
+    /// the normalized latency λ', covering every range up to `n`.
     ///
     /// # Panics
     /// Panics if `m == 0`.
-    pub fn new(latency: Latency, m: u32, root_range: Option<u64>) -> PipelineProgram {
+    pub fn evaluator(n: usize, m: u32, latency: Latency) -> Arc<GenFib> {
+        Arc::new(GenFib::covering(normalized(m, latency), n as u128))
+    }
+
+    /// Creates the program for one processor from the set's shared
+    /// [`PipelineProgram::evaluator`] for the same `m` and λ;
+    /// `root_range` is `Some(n)` on `p_0`.
+    ///
+    /// # Panics
+    /// Panics if `m == 0`.
+    pub fn new(
+        fib: Arc<GenFib>,
+        m: u32,
+        latency: Latency,
+        root_range: Option<u64>,
+    ) -> PipelineProgram {
         assert!(m >= 1, "at least one message must be broadcast");
-        let lam = latency.value();
-        let m_r = Ratio::from_int(m as i128);
-        let (normalized, orientation) = match pipeline_regime(m as u64, latency) {
-            PipelineRegime::Short => (
-                Latency::new(lam / m_r).expect("m ≤ λ keeps λ/m ≥ 1"),
-                Orientation::Standard,
-            ),
-            PipelineRegime::Long => (
-                Latency::new(m_r / lam).expect("m ≥ λ keeps m/λ ≥ 1"),
-                Orientation::Swapped,
-            ),
+        debug_assert_eq!(
+            fib.latency(),
+            normalized(m, latency),
+            "evaluator for another (m, λ)"
+        );
+        let orientation = match pipeline_regime(m as u64, latency) {
+            PipelineRegime::Short => Orientation::Standard,
+            PipelineRegime::Long => Orientation::Swapped,
         };
         PipelineProgram {
-            fib: GenFib::new(normalized),
+            fib,
             orientation,
             m,
             root_range,
@@ -74,7 +100,7 @@ impl PipelineProgram {
 
     fn compute_targets(&mut self, range_size: u64) -> &[CascadeSend] {
         self.targets
-            .get_or_insert_with(|| cascade(&self.fib, range_size, self.orientation))
+            .get_or_insert_with(|| cascade(&self.fib, range_size, self.orientation).collect())
     }
 
     fn send_stream(ctx: &mut dyn Context<MultiPacket>, target: CascadeSend, m: u32) {
@@ -95,7 +121,7 @@ impl Program<MultiPacket> for PipelineProgram {
     fn on_start(&mut self, ctx: &mut dyn Context<MultiPacket>) {
         if let Some(n) = self.root_range {
             let m = self.m;
-            for target in self.compute_targets(n).to_vec() {
+            for &target in self.compute_targets(n) {
                 Self::send_stream(ctx, target, m);
             }
         }
@@ -108,7 +134,8 @@ impl Program<MultiPacket> for PipelineProgram {
         packet: MultiPacket,
     ) {
         self.received += 1;
-        let targets = self.compute_targets(packet.range_size).to_vec();
+        let (m, complete) = (self.m, self.received == self.m);
+        let targets = self.compute_targets(packet.range_size);
         // Forward the arriving packet to the first target immediately:
         // this is the pipelining. Arrivals come one per unit, so the
         // output port is always free for the forward.
@@ -124,9 +151,9 @@ impl Program<MultiPacket> for PipelineProgram {
         }
         // Stream complete: replay it from the buffer to the remaining
         // targets, back-to-back.
-        if self.received == self.m {
-            for target in targets.into_iter().skip(1) {
-                Self::send_stream(ctx, target, self.m);
+        if complete {
+            for &target in targets.iter().skip(1) {
+                Self::send_stream(ctx, target, m);
             }
         }
     }
@@ -135,10 +162,12 @@ impl Program<MultiPacket> for PipelineProgram {
 /// Builds the PIPELINE programs for broadcasting `m` messages in
 /// MPS(n, λ); the regime is selected automatically from `m` and λ.
 pub fn pipeline_programs(n: usize, m: u32, latency: Latency) -> Vec<Box<dyn Program<MultiPacket>>> {
+    let fib = PipelineProgram::evaluator(n, m, latency);
     programs_from(n, |id| {
         Box::new(PipelineProgram::new(
-            latency,
+            fib.clone(),
             m,
+            latency,
             (id == ProcId::ROOT).then_some(n as u64),
         ))
     })

@@ -26,11 +26,13 @@
 //! Both pacings preserve message order and are free of receive-port
 //! conflicts (verified in strict mode).
 
+use crate::bcast::BcastProgram;
 use crate::cascade::{cascade, CascadeSend, Orientation};
 use crate::multi::{run_multi, MultiPacket, MultiReport};
 use postal_model::ratio::Ratio;
 use postal_model::{GenFib, Latency, Time};
 use postal_sim::prelude::*;
+use std::sync::Arc;
 
 /// How the originator paces successive BCAST iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,8 +48,8 @@ pub enum Pacing {
 
 /// Per-processor REPEAT program.
 pub struct RepeatProgram {
-    fib: GenFib,
-    latency: Latency,
+    /// `F_λ` evaluator shared by the whole program set.
+    fib: Arc<GenFib>,
     pacing: Pacing,
     /// `Some((n, m))` on the originator.
     root: Option<(u64, u32)>,
@@ -58,12 +60,12 @@ pub struct RepeatProgram {
 }
 
 impl RepeatProgram {
-    /// Creates the program for one processor; `root` is `Some((n, m))`
-    /// for `p_0`, `None` elsewhere.
-    pub fn new(latency: Latency, pacing: Pacing, root: Option<(u64, u32)>) -> RepeatProgram {
+    /// Creates the program for one processor from the set's shared `F_λ`
+    /// evaluator (e.g. [`crate::BcastProgram::evaluator`] for `n`
+    /// processors); `root` is `Some((n, m))` for `p_0`, `None` elsewhere.
+    pub fn new(fib: Arc<GenFib>, pacing: Pacing, root: Option<(u64, u32)>) -> RepeatProgram {
         RepeatProgram {
-            fib: GenFib::new(latency),
-            latency,
+            fib,
             pacing,
             root,
             next_msg: 1,
@@ -71,15 +73,12 @@ impl RepeatProgram {
         }
     }
 
-    fn sends_for(&mut self, range_size: u64) -> Vec<CascadeSend> {
-        self.sends
-            .get_or_insert_with(|| cascade(&self.fib, range_size, Orientation::Standard))
-            .clone()
-    }
-
     fn forward(&mut self, ctx: &mut dyn Context<MultiPacket>, msg: u32, range_size: u64) {
         let me = ctx.me().index() as u64;
-        for send in self.sends_for(range_size) {
+        let sends = self
+            .sends
+            .get_or_insert_with(|| cascade(&self.fib, range_size, Orientation::Standard).collect());
+        for send in sends.iter() {
             ctx.send(
                 ProcId::from((me + send.offset) as usize),
                 MultiPacket {
@@ -92,7 +91,7 @@ impl RepeatProgram {
 
     /// The Lemma 10 iteration period `f_λ(n) − (λ − 1)`.
     fn period(&self, n: u64) -> Time {
-        self.fib.index(n as u128) - Time(self.latency.value() - Ratio::ONE)
+        self.fib.index(n as u128) - Time(self.fib.latency().value() - Ratio::ONE)
     }
 
     /// Originator: start iteration `next_msg` now, and schedule the next.
@@ -151,9 +150,10 @@ pub fn repeat_programs(
     latency: Latency,
     pacing: Pacing,
 ) -> Vec<Box<dyn Program<MultiPacket>>> {
+    let fib = BcastProgram::evaluator(n, latency);
     programs_from(n, |id| {
         Box::new(RepeatProgram::new(
-            latency,
+            fib.clone(),
             pacing,
             (id == ProcId::ROOT).then_some((n as u64, m)),
         ))

@@ -222,9 +222,10 @@ fn threaded_runtime_agrees_on_bcast() {
             lam,
             || bcast_programs(n, lam),
             || {
+                let fib = BcastProgram::evaluator(n, lam);
                 send_programs_from(n, |id| {
                     Box::new(BcastProgram::new(
-                        lam,
+                        fib.clone(),
                         (id == ProcId::ROOT).then_some(n as u64),
                     )) as Box<dyn Program<BcastPayload> + Send>
                 })
@@ -243,9 +244,10 @@ fn threaded_runtime_agrees_on_repeat() {
         lam,
         || repeat_programs(n, m, lam, Pacing::Greedy),
         || {
+            let fib = BcastProgram::evaluator(n, lam);
             send_programs_from(n, |id| {
                 Box::new(RepeatProgram::new(
-                    lam,
+                    fib.clone(),
                     Pacing::Greedy,
                     (id == ProcId::ROOT).then_some((n as u64, m)),
                 )) as Box<dyn Program<postal_algos::MultiPacket> + Send>

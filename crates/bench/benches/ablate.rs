@@ -65,10 +65,13 @@ fn bench_clock_arithmetic(c: &mut Criterion) {
 
 fn bench_cascade(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_cascade");
-    let fib = GenFib::new(Latency::from_ratio(5, 2));
+    let fib = GenFib::covering(Latency::from_ratio(5, 2), 1 << 20);
     for n in [14u64, 1024, 1 << 20] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| black_box(cascade(&fib, black_box(n), Orientation::Standard)));
+            b.iter(|| {
+                let sends = cascade(&fib, black_box(n), Orientation::Standard);
+                black_box(sends.collect::<Vec<_>>())
+            });
         });
     }
     group.finish();

@@ -18,8 +18,8 @@ fn bench_gen_fib_index(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(format!("lambda_{lam}"), n), &n, |b, &n| {
                 b.iter(|| {
                     // Fresh evaluator per iteration: measures the
-                    // memo-table build, the dominant cost in practice.
-                    let fib = GenFib::new(lam);
+                    // table build, the dominant cost in practice.
+                    let fib = GenFib::covering(lam, n);
                     black_box(fib.index(black_box(n)))
                 });
             });

@@ -21,13 +21,97 @@
 //!
 //! The reference engine is also timed at n ≤ 10⁵ for a speedup column;
 //! at 10⁶ only the fast engine runs (the point of the rewrite).
+//!
+//! Memory is measured by a counting global allocator, so it is a count
+//! and free of wall-clock noise. At every n a trace-free run (the mode
+//! `simulate` uses) reports:
+//!
+//! * `heap_bytes_per_proc_n{n}` — peak heap above the baseline while
+//!   building the programs and running them, per processor;
+//! * `run_allocs_n{n}` — allocations (reallocations included) made
+//!   inside `Simulation::run`, the programs built beforehand.
+//!
+//! At n = 10⁶ both are gated, against `heap_budget_bytes_per_proc`
+//! and `run_allocs_budget`, which the report carries beside the values.
 
 use postal_algos::bcast_programs;
 use postal_bench::report::BenchReport;
 use postal_bench::table::Table;
 use postal_model::{runtimes, Latency};
 use postal_sim::{Simulation, Uniform};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+/// Peak heap per processor allowed for BCAST at n = 10⁶.
+const HEAP_BUDGET_BYTES_PER_PROC: usize = 256;
+/// Allocations allowed inside `Simulation::run` for BCAST at n = 10⁶.
+const RUN_ALLOCS_BUDGET: usize = 1_000;
+
+/// System allocator wrapped with live/peak byte and allocation counters.
+struct CountingAlloc {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+    allocs: AtomicUsize,
+}
+
+impl CountingAlloc {
+    fn grew(&self, bytes: usize) {
+        let live = self.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: delegates every operation to `System` unchanged; the wrapper
+// only maintains counters on the side.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            self.grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            self.live.fetch_sub(layout.size(), Ordering::Relaxed);
+            self.grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc {
+    live: AtomicUsize::new(0),
+    peak: AtomicUsize::new(0),
+    allocs: AtomicUsize::new(0),
+};
+
+/// BCAST(n, λ) built and run trace-free under the counting allocator:
+/// `(peak heap bytes per processor, allocations inside the run)`.
+fn bcast_memory(n: usize, lam: Latency) -> (usize, usize) {
+    let uni = Uniform(lam);
+    let sim = Simulation::new(n, &uni).discard_trace();
+    let baseline = ALLOC.live.load(Ordering::Relaxed);
+    ALLOC.peak.store(baseline, Ordering::Relaxed);
+    let programs = bcast_programs(n, lam);
+    let before = ALLOC.allocs.load(Ordering::Relaxed);
+    let report = sim.run(programs).expect("bcast simulates");
+    let run_allocs = ALLOC.allocs.load(Ordering::Relaxed) - before;
+    let peak = ALLOC.peak.load(Ordering::Relaxed) - baseline;
+    assert_eq!(report.messages(), n - 1);
+    assert_eq!(report.completion, runtimes::bcast_time(n as u128, lam));
+    (peak / n, run_allocs)
+}
 
 fn env_f64(key: &str, default: f64) -> f64 {
     std::env::var(key)
@@ -42,10 +126,19 @@ fn main() {
 
     let mut table = Table::new(
         "SIM: BCAST on the calendar-queue engine, λ = 2",
-        &["n", "fast secs", "fast ev/s", "ref secs", "speedup ×"],
+        &[
+            "n",
+            "fast secs",
+            "fast ev/s",
+            "ref secs",
+            "speedup ×",
+            "heap B/proc",
+            "run allocs",
+        ],
     );
     let mut report = BenchReport::new("sim");
     let mut fast_secs_at_million = f64::NAN;
+    let mut memory_at_million = (0, 0);
 
     let uni = Uniform(lam);
     for n in [1_000usize, 10_000, 100_000, 1_000_000] {
@@ -86,10 +179,16 @@ fn main() {
             ("-".to_string(), "-".to_string())
         };
 
+        let events = fast.events;
+        drop(fast);
+        let (heap_per_proc, run_allocs) = bcast_memory(n, lam);
+        if n == 1_000_000 {
+            memory_at_million = (heap_per_proc, run_allocs);
+        }
+
         println!(
             "n = {n:>9}: fast {fast_secs:>8.3} s  ({rate:>12.0} ev/s)  ref {ref_cell:>8}  \
-             completion {} = f_λ(n)",
-            fast.completion
+             heap {heap_per_proc} B/proc  run allocs {run_allocs}"
         );
         table.row(vec![
             n.to_string(),
@@ -97,15 +196,30 @@ fn main() {
             format!("{rate:.0}"),
             ref_cell,
             speedup_cell,
+            heap_per_proc.to_string(),
+            run_allocs.to_string(),
         ]);
         report.num(&format!("fast_secs_n{n}"), fast_secs);
         report.num(&format!("events_per_sec_fast_n{n}"), rate);
-        report.int(&format!("events_n{n}"), fast.events as i128);
+        report.int(&format!("events_n{n}"), events as i128);
+        report.int(&format!("heap_bytes_per_proc_n{n}"), heap_per_proc as i128);
+        report.int(&format!("run_allocs_n{n}"), run_allocs as i128);
     }
 
     assert!(
         fast_secs_at_million < budget_secs,
         "BCAST at n = 10⁶ took {fast_secs_at_million:.1} s, over the {budget_secs:.0} s budget"
+    );
+    let (heap_per_proc, run_allocs) = memory_at_million;
+    assert!(
+        heap_per_proc <= HEAP_BUDGET_BYTES_PER_PROC,
+        "BCAST at n = 10⁶ peaked at {heap_per_proc} B of heap per processor, \
+         over the {HEAP_BUDGET_BYTES_PER_PROC} B budget"
+    );
+    assert!(
+        run_allocs <= RUN_ALLOCS_BUDGET,
+        "BCAST at n = 10⁶ made {run_allocs} allocations inside the run, \
+         over the {RUN_ALLOCS_BUDGET} budget"
     );
 
     // Parity gate off half-unit ticks: λ = 7/3 puts the fast engine on
@@ -148,6 +262,11 @@ fn main() {
 
     println!("{table}");
     report.num("sim_budget_secs", budget_secs);
+    report.int(
+        "heap_budget_bytes_per_proc",
+        HEAP_BUDGET_BYTES_PER_PROC as i128,
+    );
+    report.int("run_allocs_budget", RUN_ALLOCS_BUDGET as i128);
     report.num("fallback_fast_secs", fast_off_secs);
     report.num("fallback_ref_secs", ref_off_secs);
     report.int("fallback_parity_mismatches", mismatches as i128);

@@ -36,9 +36,10 @@ fn main() {
         (32, Latency::from_int(4)),
     ] {
         let model = runtimes::bcast_time(n as u128, lam).to_f64();
+        let fib = BcastProgram::evaluator(n, lam);
         let programs = send_programs_from(n, |id| {
             Box::new(BcastProgram::new(
-                lam,
+                fib.clone(),
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<BcastPayload> + Send>
         });
@@ -62,10 +63,12 @@ fn main() {
         (14, 6, Latency::from_ratio(5, 2)),
     ] {
         let model = runtimes::pipeline_time(n as u128, m as u64, lam).to_f64();
+        let fib = PipelineProgram::evaluator(n, m, lam);
         let programs = send_programs_from(n, |id| {
             Box::new(PipelineProgram::new(
-                lam,
+                fib.clone(),
                 m,
+                lam,
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<MultiPacket> + Send>
         });

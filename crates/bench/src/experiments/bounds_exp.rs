@@ -17,7 +17,7 @@ pub fn fib_bounds() -> Table {
         Latency::from_int(4),
         Latency::from_int(10),
     ] {
-        let g = GenFib::new(lam);
+        let g = GenFib::through_ticks(lam, 80 * lam.ticks_per_unit() as usize);
         for t in [0i128, 5, 10, 20, 40, 80] {
             let tt = Time::from_int(t);
             let (lo, v, hi) = (
@@ -50,7 +50,7 @@ pub fn index_bounds() -> Table {
         Latency::from_int(4),
         Latency::from_int(10),
     ] {
-        let g = GenFib::new(lam);
+        let g = GenFib::covering(lam, 1 << 40);
         for n in [2u128, 16, 256, 4096, 1 << 20, 1 << 40] {
             let f = g.index(n).to_f64();
             let lo = bounds::index_lower_bound(n, lam);
@@ -78,7 +78,7 @@ pub fn asymptotic_bounds() -> Table {
     );
     for lam_i in [30i128, 100, 1000, 100_000] {
         let lam = Latency::from_int(lam_i);
-        let g = GenFib::new(lam);
+        let g = GenFib::covering(lam, 1 << 120);
         let alpha = bounds::lemma25_alpha(lam).expect("λ ≥ 16 is in the gated regime");
         for n in [1u128 << 40, 1 << 90, 1 << 120] {
             let f = g.index(n).to_f64();

@@ -108,7 +108,7 @@ pub fn special_cases() -> (Table, Table) {
         "X2a: λ = 1 reduces to the telephone model (F_1(t) = 2^t, f_1(n) = ⌈log₂ n⌉)",
         &["t", "F_1(t)", "2^t"],
     );
-    let g1 = GenFib::new(Latency::TELEPHONE);
+    let g1 = GenFib::through_ticks(Latency::TELEPHONE, 10);
     for t in 0..=10i128 {
         pow2.row(vec![
             t.to_string(),
@@ -121,7 +121,7 @@ pub fn special_cases() -> (Table, Table) {
         "X2b: λ = 2 yields the Fibonacci numbers (F_2(t) = Fib(t+1))",
         &["t", "F_2(t)", "Fib(t+1)"],
     );
-    let g2 = GenFib::new(Latency::from_int(2));
+    let g2 = GenFib::through_ticks(Latency::from_int(2), 11);
     let mut fibs = vec![1u128, 1];
     for i in 2..=12 {
         fibs.push(fibs[i - 1] + fibs[i - 2]);

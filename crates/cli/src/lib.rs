@@ -173,7 +173,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             if !(0..=10_000).contains(&max_t) {
                 return Err(CliError::Invalid("max_t must be in 0..=10000".into()));
             }
-            let g = GenFib::new(lam);
+            let g = GenFib::through_ticks(lam, (max_t * lam.ticks_per_unit()) as usize);
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -1101,9 +1101,7 @@ struct SimRun {
 fn observed<P>(report: &RunReport<P>, n: usize, m: u32, lam: Latency, want_log: bool) -> SimRun {
     SimRun {
         completion: report.completion,
-        // Every delivered message is one receive; unlike
-        // `report.messages()`, this count survives a discarded trace.
-        messages: report.proc_stats.iter().map(|s| s.recvs as usize).sum(),
+        messages: report.messages(),
         violations: report.violations.len(),
         log: want_log
             .then(|| log_from_report(report, "event", n as u32, Some(lam), Some(m as u64))),

@@ -22,9 +22,10 @@ fn threaded_executor_lands_on_the_model_checked_completion() {
         "checker proved a unique completion"
     );
 
+    let fib = BcastProgram::evaluator(n, lam);
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lam,
+            fib.clone(),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });

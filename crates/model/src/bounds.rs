@@ -152,7 +152,7 @@ mod tests {
     fn theorem7_part1_sandwiches_exact_values() {
         for &(p, q) in LAMBDAS {
             let lam = Latency::from_ratio(p, q);
-            let g = GenFib::new(lam);
+            let g = GenFib::through_ticks(lam, 60 * q as usize);
             for k in 0..(60 * q) {
                 let t = Time::new(k, q);
                 let v = g.value(t);
@@ -168,7 +168,7 @@ mod tests {
     fn theorem7_part2_sandwiches_index() {
         for &(p, q) in LAMBDAS {
             let lam = Latency::from_ratio(p, q);
-            let g = GenFib::new(lam);
+            let g = GenFib::covering(lam, 500);
             for n in 1..500u128 {
                 let f = g.index(n).to_f64();
                 let lo = index_lower_bound(n, lam);
@@ -198,7 +198,7 @@ mod tests {
         // for every gated λ we expose.
         for lam_i in [16i128, 20, 30, 64, 200] {
             let lam = Latency::from_int(lam_i);
-            let g = GenFib::new(lam);
+            let g = GenFib::through_ticks(lam, 15 * lam_i as usize);
             for t in (0..(15 * lam_i)).step_by(7) {
                 let tt = Time::from_int(t);
                 let lb = fib_asymptotic_lower_bound(tt, lam).unwrap();

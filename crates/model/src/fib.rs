@@ -27,53 +27,86 @@
 //! F[k] = F[k−q] + F[k−p]   for k ≥ p
 //! ```
 //!
-//! which [`GenFib`] memoizes in a growable table. Values saturate at
-//! `u128::MAX`, far beyond any representable processor count.
+//! Values saturate at `u128::MAX`, far beyond any representable processor
+//! count.
+//!
+//! # One immutable table per program set
+//!
+//! [`GenFib`] holds `F[0..=H]` for a horizon `H` fixed at construction and
+//! never mutates it afterwards, so one evaluator is `Send + Sync` and is
+//! shared, behind an `Arc`, by every program of a broadcast program set:
+//! every processor's cascade depends on λ alone. [`GenFib::covering`]
+//! builds through `H = f_λ(n)` ticks, which answers every `F_λ`, `f_λ` and
+//! BCAST-split query for a range of at most `n` processors with a table
+//! load. A query past the horizon continues the recurrence in a scratch
+//! buffer that is dropped with the answer; [`GenFib::new`] has no table at
+//! all and suits one-off analytic queries only.
 
 use crate::latency::Latency;
 use crate::ratio::Ratio;
 use crate::time::Time;
-use std::cell::RefCell;
 
-/// Memoized evaluator for `F_λ` and `f_λ` at a fixed latency λ.
+/// Evaluator for `F_λ` and `f_λ` at a fixed latency λ, backed by an
+/// immutable table through a horizon chosen at construction.
 ///
-/// Construction is cheap; the internal table grows on demand and is shared
-/// across calls through interior mutability, so evaluation methods take
-/// `&self`. The growth per query is bounded by Theorem 7:
-/// `f_λ(n) ≤ 2λ + 2λ·log₂(n)/log₂(⌈λ⌉+1)` units, i.e. a few hundred ticks
-/// for any realistic `n`.
+/// Within the horizon every query is a table load or a binary search
+/// over the table; past it the recurrence is continued in a scratch
+/// buffer, leaving the table untouched. Theorem 7 bounds the horizon
+/// [`GenFib::covering`] needs: `f_λ(n) ≤ 2λ + 2λ·log₂(n)/log₂(⌈λ⌉+1)`
+/// units, i.e. a few hundred ticks for any realistic `n`.
 ///
 /// ```
 /// use postal_model::{GenFib, Latency, Time};
 ///
 /// // λ = 2 yields the Fibonacci numbers: F_2(t) = Fib(t+1).
-/// let fib = GenFib::new(Latency::from_int(2));
+/// let fib = GenFib::covering(Latency::from_int(2), 8);
 /// assert_eq!(fib.value(Time::from_int(5)), 8);
 /// // Broadcasting to 8 processors at λ = 2 takes f_2(8) = 5 units.
 /// assert_eq!(fib.index(8), Time::from_int(5));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GenFib {
     latency: Latency,
     /// λ in ticks (numerator p of λ = p/q).
     p: usize,
     /// Ticks per unit (denominator q of λ = p/q).
     q: usize,
-    /// `table[k] = F_λ(k/q)`, saturating at `u128::MAX`.
-    table: RefCell<Vec<u128>>,
+    /// `table[k] = F_λ(k/q)` for every tick `k` through the horizon,
+    /// saturating at `u128::MAX`.
+    table: Vec<u128>,
 }
 
 impl GenFib {
-    /// Creates an evaluator for the given latency.
+    /// An evaluator without a table: every query runs the recurrence
+    /// from tick 0. Meant for one-off queries; build with
+    /// [`GenFib::covering`] or [`GenFib::through_ticks`] to query many
+    /// points.
     pub fn new(latency: Latency) -> GenFib {
-        let p = latency.lambda_ticks() as usize;
-        let q = latency.ticks_per_unit() as usize;
         GenFib {
             latency,
-            p,
-            q,
-            table: RefCell::new(Vec::new()),
+            p: latency.lambda_ticks() as usize,
+            q: latency.ticks_per_unit() as usize,
+            table: Vec::new(),
         }
+    }
+
+    /// An evaluator whose table runs through `f_λ(n)` ticks: every
+    /// `F_λ`, `f_λ` and [`GenFib::bcast_split`] query for a range of at
+    /// most `n` processors is answered from the table.
+    pub fn covering(latency: Latency, n: u128) -> GenFib {
+        let mut fib = GenFib::new(latency);
+        while fib.push_next() < n {}
+        fib
+    }
+
+    /// An evaluator whose table holds `F_λ` at ticks `0..=k`.
+    pub fn through_ticks(latency: Latency, k: usize) -> GenFib {
+        let mut fib = GenFib::new(latency);
+        fib.table.reserve_exact(k + 1);
+        while fib.table.len() <= k {
+            fib.push_next();
+        }
+        fib
     }
 
     /// The latency λ this evaluator is specialized for.
@@ -81,24 +114,44 @@ impl GenFib {
         self.latency
     }
 
-    /// Ensures the memo table covers tick indices `0..=k`.
-    fn grow_to(&self, k: usize) {
-        let mut table = self.table.borrow_mut();
-        if table.len() > k {
-            return;
+    /// Appends the next tick's value to the table and returns it;
+    /// construction only.
+    fn push_next(&mut self) -> u128 {
+        let i = self.table.len();
+        let v = self.next_value(i, |j| self.table[j]);
+        self.table.push(v);
+        v
+    }
+
+    /// `F[i]` by the recurrence, given the earlier values.
+    fn next_value(&self, i: usize, at: impl Fn(usize) -> u128) -> u128 {
+        if i < self.p {
+            1
+        } else {
+            at(i - self.q).saturating_add(at(i - self.p))
         }
-        let additional = k + 1 - table.len();
-        table.reserve(additional);
-        while table.len() <= k {
-            let i = table.len();
-            let v = if i < self.p {
-                1
-            } else {
-                let a = table[i - self.q];
-                let b = table[i - self.p];
-                a.saturating_add(b)
-            };
-            table.push(v);
+    }
+
+    /// Walks the recurrence from the first tick past the table and
+    /// returns the first `(tick, F[tick])` that `stop` accepts. The
+    /// values past the table live in a scratch buffer, so the shared
+    /// table never changes.
+    fn continue_until(&self, mut stop: impl FnMut(usize, u128) -> bool) -> (usize, u128) {
+        let base = self.table.len();
+        let mut scratch: Vec<u128> = Vec::new();
+        loop {
+            let i = base + scratch.len();
+            let v = self.next_value(i, |j| {
+                if j < base {
+                    self.table[j]
+                } else {
+                    scratch[j - base]
+                }
+            });
+            if stop(i, v) {
+                return (i, v);
+            }
+            scratch.push(v);
         }
     }
 
@@ -109,8 +162,10 @@ impl GenFib {
     pub fn value_at_ticks(&self, k: i128) -> u128 {
         assert!(k >= 0, "F_λ(t) is defined for t ≥ 0 only (got {k} ticks)");
         let k = k as usize;
-        self.grow_to(k);
-        self.table.borrow()[k]
+        match self.table.get(k) {
+            Some(&v) => v,
+            None => self.continue_until(|i, _| i == k).1,
+        }
     }
 
     /// `F_λ(t)` for an arbitrary nonnegative time `t`.
@@ -127,32 +182,20 @@ impl GenFib {
 
     /// `f_λ(n) = min{t : F_λ(t) ≥ n}` in ticks.
     ///
+    /// `F_λ` is nondecreasing and only increases at tick boundaries, so
+    /// the minimal real `t` is itself a tick: a binary search over the
+    /// table when `n` is within it, else the first tick of the continued
+    /// recurrence that reaches `n`.
+    ///
     /// # Panics
     /// Panics if `n == 0`; the index function is defined for n ≥ 1.
     pub fn index_ticks(&self, n: u128) -> i128 {
         assert!(n >= 1, "f_λ(n) is defined for n ≥ 1 only");
-        if n == 1 {
-            return 0;
-        }
-        // Exponential search for an upper bound, then binary search. The
-        // step function only increases at tick boundaries, so the minimal
-        // real t with F_λ(t) ≥ n is itself a tick multiple.
-        let mut hi = self.p.max(self.q); // first tick where growth can start
-        while self.value_at_ticks(hi as i128) < n {
-            hi = hi
-                .checked_mul(2)
-                .expect("f_λ(n) search exceeded usize ticks");
-        }
-        let mut lo = 0usize;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.value_at_ticks(mid as i128) >= n {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo as i128
+        let k = match self.table.last() {
+            Some(&top) if top >= n => self.table.partition_point(|&v| v < n),
+            _ => self.continue_until(|_, v| v >= n).0,
+        };
+        k as i128
     }
 
     /// `f_λ(n)` as exact model time.
@@ -197,7 +240,8 @@ impl GenFib {
 
 /// Convenience: `f_λ(n)` for a one-off query.
 ///
-/// Allocates a fresh [`GenFib`]; reuse an evaluator in loops.
+/// Runs the recurrence without keeping a table; build a
+/// [`GenFib::covering`] evaluator for loops.
 pub fn optimal_broadcast_time(n: u128, latency: Latency) -> Time {
     GenFib::new(latency).index(n)
 }
@@ -211,8 +255,63 @@ pub fn gen_fib_value(t: Time, latency: Latency) -> u128 {
 mod tests {
     use super::*;
 
+    /// A short table, so the tests below query both the table and the
+    /// continued recurrence past it.
     fn fib(latency: Latency) -> GenFib {
-        GenFib::new(latency)
+        GenFib::through_ticks(latency, 64)
+    }
+
+    const LAMBDAS: [(i128, i128); 6] = [(1, 1), (3, 2), (2, 1), (5, 2), (7, 3), (10, 1)];
+
+    #[test]
+    fn evaluator_is_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<GenFib>();
+    }
+
+    #[test]
+    fn table_and_continued_recurrence_agree() {
+        for (p, q) in LAMBDAS {
+            let lam = Latency::from_ratio(p, q);
+            let bare = GenFib::new(lam);
+            let covering = GenFib::covering(lam, 5_000);
+            for k in 0..300i128 {
+                assert_eq!(
+                    bare.value_at_ticks(k),
+                    covering.value_at_ticks(k),
+                    "λ={lam} k={k}"
+                );
+            }
+            for n in 1..=6_000u128 {
+                assert_eq!(
+                    bare.index_ticks(n),
+                    covering.index_ticks(n),
+                    "λ={lam} n={n}"
+                );
+                if n >= 2 {
+                    assert_eq!(
+                        bare.bcast_split(n),
+                        covering.bcast_split(n),
+                        "λ={lam} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn covering_table_ends_at_the_index_of_n() {
+        // The horizon is exactly f_λ(n): the least table that answers
+        // every query for ranges of at most n processors.
+        for (p, q) in LAMBDAS {
+            let lam = Latency::from_ratio(p, q);
+            for n in [1u128, 2, 14, 1_000, 150_963, 1 << 40] {
+                let g = GenFib::covering(lam, n);
+                assert_eq!(g.table.len() as i128, g.index_ticks(n) + 1, "λ={lam} n={n}");
+            }
+        }
+        assert_eq!(GenFib::new(Latency::TELEPHONE).table.len(), 0);
+        assert_eq!(GenFib::through_ticks(Latency::TELEPHONE, 9).table.len(), 10);
     }
 
     #[test]

@@ -516,9 +516,10 @@ mod tests {
     use postal_model::runtimes;
 
     fn bcast_threaded(n: usize, latency: Latency) -> ThreadedReport<BcastPayload> {
+        let fib = BcastProgram::evaluator(n, latency);
         let programs = send_programs_from(n, |id| {
             Box::new(BcastProgram::new(
-                latency,
+                fib.clone(),
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<BcastPayload> + Send>
         });
@@ -616,9 +617,10 @@ mod tests {
     fn repeat_preserves_order_on_threads() {
         let (n, m) = (8usize, 4u32);
         let lam = Latency::from_int(2);
+        let fib = BcastProgram::evaluator(n, lam);
         let programs = send_programs_from(n, |id| {
             Box::new(RepeatProgram::new(
-                lam,
+                fib.clone(),
                 Pacing::Greedy,
                 (id == ProcId::ROOT).then_some((n as u64, m)),
             )) as Box<dyn Program<postal_algos::MultiPacket> + Send>
@@ -695,9 +697,10 @@ mod tests {
             4,
             postal_obs::SampleSpec::tail(1),
         ));
+        let fib = BcastProgram::evaluator(n, lam);
         let programs = send_programs_from(n, |id| {
             Box::new(BcastProgram::new(
-                lam,
+                fib.clone(),
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<BcastPayload> + Send>
         });
@@ -739,9 +742,10 @@ mod tests {
         let n = 6;
         let lam = Latency::from_ratio(5, 2);
         let rec = Arc::new(postal_obs::MemoryRecorder::new());
+        let fib = BcastProgram::evaluator(n, lam);
         let programs = send_programs_from(n, |id| {
             Box::new(BcastProgram::new(
-                lam,
+                fib.clone(),
                 (id == ProcId::ROOT).then_some(n as u64),
             )) as Box<dyn Program<BcastPayload> + Send>
         });
@@ -815,8 +819,9 @@ mod tests {
 
     #[test]
     fn empty_system_terminates() {
+        let fib = BcastProgram::evaluator(1, Latency::TELEPHONE);
         let programs: Vec<Box<dyn Program<BcastPayload> + Send>> = send_programs_from(1, |_| {
-            Box::new(BcastProgram::new(Latency::TELEPHONE, Some(1)))
+            Box::new(BcastProgram::new(fib.clone(), Some(1)))
                 as Box<dyn Program<BcastPayload> + Send>
         });
         let report = run_threaded(Latency::TELEPHONE, RuntimeConfig::default(), programs);

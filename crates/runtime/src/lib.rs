@@ -19,8 +19,9 @@
 //!
 //! let lam = Latency::from_int(2);
 //! let n = 6;
+//! let fib = BcastProgram::evaluator(n, lam);
 //! let programs = send_programs_from(n, |id| {
-//!     Box::new(BcastProgram::new(lam, (id == ProcId::ROOT).then_some(n as u64)))
+//!     Box::new(BcastProgram::new(fib.clone(), (id == ProcId::ROOT).then_some(n as u64)))
 //!         as Box<dyn Program<BcastPayload> + Send>
 //! });
 //! let report = run_threaded(lam, RuntimeConfig::default(), programs);

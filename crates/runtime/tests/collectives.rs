@@ -22,9 +22,15 @@ fn gossip_on_threads_everyone_learns_everything() {
     let lam = Latency::from_int(2);
     let values: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
 
+    let fib = GossipProgram::evaluator(n, lam);
     let programs = send_programs_from(n, |id| {
-        Box::new(GossipProgram::new(id, n, values[id.index()], lam))
-            as Box<dyn Program<GossipPacket> + Send>
+        Box::new(GossipProgram::new(
+            id,
+            n,
+            values[id.index()],
+            lam,
+            fib.clone(),
+        )) as Box<dyn Program<GossipPacket> + Send>
     });
     let report = run_threaded(lam, config(), programs);
 

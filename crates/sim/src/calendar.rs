@@ -20,25 +20,47 @@
 //! multiplies every queued tick by the refinement factor, so there is no
 //! exact-`Ratio` side path at all.
 //!
+//! # Lane storage and its free list
+//!
+//! Every bucket has one FIFO per lane, and all of them share one pool of
+//! fixed-size chunks (`CHUNK` items each). A lane is a linked run of
+//! chunks: pushes fill its tail chunk, pops empty its head chunk, and a
+//! chunk the pops have drained goes onto the pool's **free list** at
+//! once. A lane that needs a chunk draws from the free list and only
+//! grows the pool when the list is empty. So the queue's storage tracks
+//! the events live at one time, not the sum over every bucket a run
+//! touches, and a run allocates only when its live-event count reaches a
+//! new high: the pool is one buffer that grows by doubling. (Per-bucket
+//! deques would each grow from empty: a BCAST run keeps dozens of
+//! future buckets growing at once, each doubling about ten times.)
+//!
 //! # Ordering contract
 //!
 //! Pops come out ordered by `(time, lane, push counter)` — exactly the
 //! `(time, kind_rank, counter)` order of the seed engine's heap — under
 //! one precondition the engine naturally satisfies: **pushes are
 //! monotone**, i.e. never earlier than the last popped time (asserted).
-//! Within one bucket each lane is a FIFO [`VecDeque`], which equals
-//! counter order because a bucket only receives direct pushes while its
-//! tick is inside the window, and the overflow heap is drained into it
-//! in counter order at the moment the window first covers that tick.
+//! Within one bucket each lane is a FIFO, which equals counter order
+//! because a bucket only receives direct pushes while its tick is inside
+//! the window, and the overflow heap is drained into it in counter order
+//! at the moment the window first covers that tick.
 
 use postal_model::{TickScale, Time};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Number of one-tick buckets in the ring (a power of two). At half-unit
 /// ticks that is 256 time units of lookahead, far beyond any λ the
 /// paper's grid uses, so overflow traffic is rare.
 const WINDOW: usize = 512;
+
+/// Items per storage chunk. Each nonempty lane holds at most two
+/// partly used chunks, so this bounds the storage a sparse run wastes;
+/// a lane crosses a chunk boundary once per `CHUNK` pushes.
+const CHUNK: usize = 32;
+
+/// The null chunk id.
+const NIL: u32 = u32::MAX;
 
 /// Same-instant event class, in drain order. Mirrors the engine's
 /// `kind_rank`: port bookings first, then completed receives, then
@@ -55,10 +77,109 @@ pub enum Lane {
 
 const LANES: [Lane; 3] = [Lane::Arrival, Lane::Deliver, Lane::Wake];
 
-/// One ring slot: three FIFO lanes, one per event class. The deques are
-/// the queue's arena — buckets are drained and refilled as the window
-/// slides, so their capacity is recycled instead of reallocated.
-type Bucket<T> = [VecDeque<T>; 3];
+/// One lane's FIFO: a linked run of chunks in the [`Chunks`] pool.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    /// Chunk holding the oldest item, and that item's slot in it.
+    head: u32,
+    head_slot: u32,
+    /// Chunk taking pushes, and how many of its slots are filled.
+    tail: u32,
+    tail_fill: u32,
+    /// Items queued.
+    len: usize,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        head_slot: 0,
+        tail: NIL,
+        tail_fill: 0,
+        len: 0,
+    };
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// One ring slot: three FIFO lanes, one per event class.
+type Bucket = [Fifo; 3];
+
+/// The chunk pool every lane's items live in.
+#[derive(Debug)]
+struct Chunks<T> {
+    /// Chunk `c` is `slots[c·CHUNK .. (c+1)·CHUNK]`.
+    slots: Vec<Option<T>>,
+    /// The chunk after `c` in its lane, once one is linked.
+    next: Vec<u32>,
+    /// Drained chunks, reused before the pool grows.
+    free: Vec<u32>,
+}
+
+impl<T> Chunks<T> {
+    fn new() -> Chunks<T> {
+        Chunks {
+            slots: Vec::new(),
+            next: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// A chunk off the free list, or a new one at the end of the pool.
+    fn take(&mut self) -> u32 {
+        if let Some(c) = self.free.pop() {
+            return c;
+        }
+        let c = u32::try_from(self.next.len())
+            .ok()
+            .filter(|&c| c != NIL)
+            .expect("calendar queue chunk pool exhausted");
+        self.slots.resize_with(self.slots.len() + CHUNK, || None);
+        self.next.push(NIL);
+        c
+    }
+
+    fn push(&mut self, fifo: &mut Fifo, item: T) {
+        if fifo.is_empty() {
+            let c = self.take();
+            *fifo = Fifo {
+                head: c,
+                tail: c,
+                ..Fifo::EMPTY
+            };
+        } else if fifo.tail_fill as usize == CHUNK {
+            let c = self.take();
+            self.next[fifo.tail as usize] = c;
+            (fifo.tail, fifo.tail_fill) = (c, 0);
+        }
+        self.slots[fifo.tail as usize * CHUNK + fifo.tail_fill as usize] = Some(item);
+        fifo.tail_fill += 1;
+        fifo.len += 1;
+    }
+
+    /// Pops the lane's oldest item, returning every chunk it empties to
+    /// the free list.
+    fn pop(&mut self, fifo: &mut Fifo) -> Option<T> {
+        if fifo.is_empty() {
+            return None;
+        }
+        let item = self.slots[fifo.head as usize * CHUNK + fifo.head_slot as usize].take();
+        fifo.head_slot += 1;
+        fifo.len -= 1;
+        if fifo.is_empty() {
+            // The last item sat in the tail chunk, which is the head.
+            self.free.push(fifo.head);
+            *fifo = Fifo::EMPTY;
+        } else if fifo.head_slot as usize == CHUNK {
+            self.free.push(fifo.head);
+            (fifo.head, fifo.head_slot) = (self.next[fifo.head as usize], 0);
+        }
+        debug_assert!(item.is_some(), "a queued slot holds its item");
+        item
+    }
+}
 
 /// An overflow-heap entry, ordered by `(tick, lane, counter)` — the
 /// global event order restricted to the events beyond the window.
@@ -87,11 +208,18 @@ impl<T> Ord for Keyed<T> {
     }
 }
 
+/// The bucket of `tick` in the ring.
+fn slot(tick: i64) -> usize {
+    (tick & (WINDOW as i64 - 1)) as usize
+}
+
 /// The calendar queue. See the module docs for the design and the
 /// ordering contract.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    buckets: Vec<Bucket<T>>,
+    buckets: Vec<Bucket>,
+    /// Storage of every item in the ring.
+    chunks: Chunks<T>,
     /// Tick of the window start; bucket for tick `h` is
     /// `buckets[h & mask]`.
     cur: i64,
@@ -126,9 +254,8 @@ impl<T> CalendarQueue<T> {
     /// zero.
     pub fn with_scale(scale: TickScale) -> CalendarQueue<T> {
         CalendarQueue {
-            buckets: (0..WINDOW)
-                .map(|_| std::array::from_fn(|_| VecDeque::new()))
-                .collect(),
+            buckets: vec![[Fifo::EMPTY; 3]; WINDOW],
+            chunks: Chunks::new(),
             cur: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
@@ -206,7 +333,8 @@ impl<T> CalendarQueue<T> {
     /// difference cannot overflow: `cur ≤ frontier ≤ tick`.
     fn place(&mut self, tick: i64, lane: Lane, counter: u64, item: T) {
         if tick - self.cur < WINDOW as i64 {
-            self.buckets[(tick & (WINDOW as i64 - 1)) as usize][lane as usize].push_back(item);
+            let fifo = &mut self.buckets[slot(tick)][lane as usize];
+            self.chunks.push(fifo, item);
             self.ring_len += 1;
         } else {
             self.overflow.push(Reverse(Keyed {
@@ -224,10 +352,7 @@ impl<T> CalendarQueue<T> {
         // ≥ cur + WINDOW.
         let tick = if self.ring_len > 0 {
             let mut h = self.cur;
-            while self.buckets[(h & (WINDOW as i64 - 1)) as usize]
-                .iter()
-                .all(VecDeque::is_empty)
-            {
+            while self.buckets[slot(h)].iter().all(Fifo::is_empty) {
                 h += 1;
             }
             h
@@ -239,9 +364,9 @@ impl<T> CalendarQueue<T> {
         }
         self.len -= 1;
         self.frontier = tick;
-        let bucket = &mut self.buckets[(tick & (WINDOW as i64 - 1)) as usize];
+        let bucket = &mut self.buckets[slot(tick)];
         for lane in LANES {
-            if let Some(item) = bucket[lane as usize].pop_front() {
+            if let Some(item) = self.chunks.pop(&mut bucket[lane as usize]) {
                 self.ring_len -= 1;
                 return Some((tick, lane, item));
             }
@@ -259,8 +384,8 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             let Reverse(k) = self.overflow.pop().expect("peeked");
-            self.buckets[(k.tick & (WINDOW as i64 - 1)) as usize][k.lane as usize]
-                .push_back(k.item);
+            let fifo = &mut self.buckets[slot(k.tick)][k.lane as usize];
+            self.chunks.push(fifo, k.item);
             self.ring_len += 1;
         }
     }
@@ -294,9 +419,12 @@ impl<T> CalendarQueue<T> {
         // the rescaled window, so they never share a tick with the ring.
         let mut ring: Vec<(i64, Lane, T)> = Vec::with_capacity(self.ring_len);
         for h in self.cur..self.cur + WINDOW as i64 {
-            let bucket = &mut self.buckets[(h & (WINDOW as i64 - 1)) as usize];
+            let bucket = &mut self.buckets[slot(h)];
             for lane in LANES {
-                ring.extend(bucket[lane as usize].drain(..).map(|x| (h, lane, x)));
+                let fifo = &mut bucket[lane as usize];
+                while let Some(x) = self.chunks.pop(fifo) {
+                    ring.push((h, lane, x));
+                }
             }
         }
         let overflow = std::mem::take(&mut self.overflow);
@@ -425,6 +553,66 @@ mod tests {
             .rescale_to(TickScale::new(3).unwrap(), |_, _| {})
             .is_none());
         assert_eq!(q.pop_tick().unwrap().0, i64::MAX / 2);
+    }
+
+    #[test]
+    fn lanes_stay_fifo_across_chunk_boundaries() {
+        // Interleave pushes and pops on one tick's lanes so every lane
+        // crosses several chunk boundaries, against a VecDeque model.
+        use std::collections::VecDeque;
+        let mut q = CalendarQueue::new();
+        let mut model: [VecDeque<u32>; 3] = Default::default();
+        let mut next = 0u32;
+        for round in 0..(5 * CHUNK) {
+            for lane in LANES {
+                for _ in 0..(1 + (round + lane as usize) % 3) {
+                    q.push_tick(7, lane, next);
+                    model[lane as usize].push_back(next);
+                    next += 1;
+                }
+            }
+            if round % 2 == 1 {
+                let (tick, lane, item) = q.pop_tick().unwrap();
+                assert_eq!(tick, 7);
+                let want = LANES
+                    .iter()
+                    .find_map(|&l| model[l as usize].pop_front().map(|x| (l, x)));
+                assert_eq!(Some((lane, item)), want);
+            }
+        }
+        while let Some((_, lane, item)) = q.pop_tick() {
+            let want = LANES
+                .iter()
+                .find_map(|&l| model[l as usize].pop_front().map(|x| (l, x)));
+            assert_eq!(Some((lane, item)), want);
+        }
+        assert!(model.iter().all(VecDeque::is_empty));
+    }
+
+    #[test]
+    fn drained_chunks_are_reused_before_the_pool_grows() {
+        // Tick after tick the same number of events is live, so after
+        // the first tick every chunk comes off the free list.
+        let mut q = CalendarQueue::new();
+        for i in 0..(3 * CHUNK as u32) {
+            q.push_tick(1, Lane::Arrival, i);
+        }
+        let pool = q.chunks.next.len();
+        for tick in 2..40i64 {
+            for i in 0..(3 * CHUNK as u32) {
+                q.push_tick(tick, Lane::Deliver, i);
+            }
+            for _ in 0..(3 * CHUNK) {
+                assert_eq!(q.pop_tick().unwrap().0, tick - 1);
+            }
+        }
+        // One tick's events live at a time, plus the next tick's.
+        assert!(
+            q.chunks.next.len() <= 2 * pool,
+            "pool grew to {}",
+            q.chunks.next.len()
+        );
+        assert_eq!(q.len(), 3 * CHUNK);
     }
 
     #[test]

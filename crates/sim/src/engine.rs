@@ -163,9 +163,11 @@ impl<P> RunReport<P> {
         );
     }
 
-    /// Total number of messages transferred.
+    /// Total number of messages transferred: one per completed receive.
+    /// Counted from [`RunReport::proc_stats`], so a run that discarded
+    /// its trace reports the same number as a traced one.
     pub fn messages(&self) -> usize {
-        self.trace.len()
+        self.proc_stats.iter().map(|s| s.recvs as usize).sum()
     }
 }
 
@@ -284,13 +286,13 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs trace-free: transfers are *not* accumulated into
-    /// [`RunReport::trace`], which comes back empty (and
-    /// [`RunReport::messages`] reads zero). The completion time is kept
-    /// as a running maximum instead, so [`RunReport::completion`] is
-    /// unchanged. This is the O(n)-memory mode for n → 10⁶ runs whose
-    /// analysis happens in-stream — pair it with an observing recorder
-    /// (e.g. a streaming lint sink) to keep the full correctness story
-    /// without the ~200 MB materialized trace.
+    /// [`RunReport::trace`], which comes back empty. The completion time
+    /// is kept as a running maximum instead, so [`RunReport::completion`]
+    /// is unchanged, and [`RunReport::messages`] counts receives from the
+    /// per-processor statistics. This is the O(n)-memory mode for
+    /// n → 10⁶ runs whose analysis happens in-stream — pair it with an
+    /// observing recorder (e.g. a streaming lint sink) to keep the full
+    /// correctness story without a materialized trace.
     pub fn discard_trace(mut self) -> Simulation<'a> {
         self.discard_trace = true;
         self
@@ -333,11 +335,16 @@ impl<'a> Simulation<'a> {
             st.crashes.push((p.0, at));
         }
 
+        // One context serves every callback: its outbox and wake buffers
+        // are drained after each and keep their capacity, so a callback
+        // allocates nothing once the buffers have grown to its batch size.
+        let mut ctx = EngineCtx::new(ProcId::ROOT, self.n, Time::ZERO);
+
         // Time 0: every processor's on_start, in index order.
         for (i, program) in programs.iter_mut().enumerate() {
-            let mut ctx = EngineCtx::new(ProcId::from(i), self.n, Time::ZERO);
+            ctx.me = ProcId::from(i);
             program.on_start(&mut ctx);
-            st.apply_ctx(ctx, 0, self.latency)?;
+            st.apply_ctx(&mut ctx, 0, self.latency)?;
         }
 
         while let Some((time, _lane, kind)) = st.queue.pop_tick() {
@@ -413,9 +420,9 @@ impl<'a> Simulation<'a> {
                         });
                         payload
                     };
-                    let mut ctx = EngineCtx::new(ProcId(dst), self.n, now);
+                    (ctx.me, ctx.now) = (ProcId(dst), now);
                     programs[dst as usize].on_receive(&mut ctx, ProcId(src), payload);
-                    st.apply_ctx(ctx, time, self.latency)?;
+                    st.apply_ctx(&mut ctx, time, self.latency)?;
                 }
                 FastKind::Wake(p) => {
                     if st.crashed(p, time) {
@@ -423,9 +430,9 @@ impl<'a> Simulation<'a> {
                     }
                     let at = st.time(time);
                     st.emit(ObsEvent::Wake { proc: p, at });
-                    let mut ctx = EngineCtx::new(ProcId(p), self.n, at);
+                    (ctx.me, ctx.now) = (ProcId(p), at);
                     programs[p as usize].on_wake(&mut ctx);
-                    st.apply_ctx(ctx, time, self.latency)?;
+                    st.apply_ctx(&mut ctx, time, self.latency)?;
                 }
             }
         }
@@ -800,7 +807,7 @@ impl<'r, P: Clone> EngineState<'r, P> {
 /// `i64` ticks on the queue's [`TickScale`]; exact [`Time`] rationals
 /// are only materialized at the edges (program callbacks, the trace,
 /// the observability stream). The enum is stored by value in the
-/// calendar queue's bucket deques — the recycled bucket storage is the
+/// calendar queue's chunk pool — the recycled chunk storage is the
 /// event arena, with no per-event box.
 enum FastKind<P> {
     /// A message arrival: receive timing is decided when it fires.
@@ -952,7 +959,7 @@ impl<'r, P: Clone> FastState<'r, P> {
         &mut self,
         src: ProcId,
         mut now: i64,
-        outbox: Vec<(ProcId, P)>,
+        outbox: impl Iterator<Item = (ProcId, P)>,
         latency: &dyn LatencyModel,
     ) -> Result<(), SimError> {
         for (dst, payload) in outbox {
@@ -1008,19 +1015,19 @@ impl<'r, P: Clone> FastState<'r, P> {
         Ok(())
     }
 
-    /// Applies everything a program requested during one callback.
-    /// `now` is the callback's tick (`ctx.now` is its exact image).
+    /// Applies everything a program requested during one callback and
+    /// empties the context's buffers for the next, keeping their
+    /// capacity. `now` is the callback's tick (`ctx.now` is its exact
+    /// image).
     fn apply_ctx(
         &mut self,
-        ctx: EngineCtx<P>,
+        ctx: &mut EngineCtx<P>,
         now: i64,
         latency: &dyn LatencyModel,
     ) -> Result<(), SimError> {
-        let EngineCtx {
-            me, outbox, wakes, ..
-        } = ctx;
-        self.issue_sends(me, now, outbox, latency)?;
-        for t in wakes {
+        let me = ctx.me;
+        self.issue_sends(me, now, ctx.outbox.drain(..), latency)?;
+        for t in ctx.wakes.drain(..) {
             let tick = self.tick(t)?;
             self.queue.push_tick(tick, Lane::Wake, FastKind::Wake(me.0));
         }
@@ -1351,7 +1358,8 @@ mod tests {
             .unwrap();
         for report in [&fast, &reference] {
             assert_eq!(report.completion, Time::from_int(5));
-            assert_eq!(report.messages(), 0, "trace must stay empty");
+            assert!(report.trace.is_empty(), "trace must stay empty");
+            assert_eq!(report.messages(), 2, "receives are still counted");
             assert_eq!(report.proc_stats[2].recvs, 1);
         }
         // The discarded-trace run still streams its full event story.
@@ -1450,8 +1458,9 @@ mod tests {
 
     #[test]
     fn receive_counts_match_the_trace_under_faults() {
-        // `simulate` counts messages from `recvs` when it discards the
-        // trace: dropped and crashed deliveries must be missing from both.
+        // `messages()` counts receives, so traced and discarded runs on
+        // both engines agree: dropped and crashed deliveries are missing
+        // from the count and from the trace alike.
         let lam = Uniform(Latency::from_int(2));
         let programs = || -> Vec<Box<dyn Program<u8>>> {
             vec![
@@ -1468,24 +1477,26 @@ mod tests {
                 .dropping(1)
                 .crashing(ProcId(4), Time::from_int(5))
         };
-        let fast = Simulation::new(6, &lam)
-            .faults(plan())
-            .run(programs())
-            .unwrap();
-        let reference = Simulation::new(6, &lam)
-            .faults(plan())
-            .run_reference(programs())
-            .unwrap();
-        for report in [&fast, &reference] {
+        let sim = || Simulation::new(6, &lam).faults(plan());
+        let fast = sim().run(programs()).unwrap();
+        let reference = sim().run_reference(programs()).unwrap();
+        let discarded = sim().discard_trace().run(programs()).unwrap();
+        let discarded_reference = sim().discard_trace().run_reference(programs()).unwrap();
+        for report in [&fast, &reference, &discarded, &discarded_reference] {
             let recvs: u64 = report.proc_stats.iter().map(|s| s.recvs).sum();
             let sends: u64 = report.proc_stats.iter().map(|s| s.sends).sum();
-            assert_eq!(recvs as usize, report.trace.len());
+            assert_eq!(report.messages(), recvs as usize);
+            assert_eq!(report.messages(), fast.trace.len());
             assert_eq!(sends, 7);
             // p2's only message is dropped; p4 crashes before p3's
             // relay lands.
             assert_eq!(report.proc_stats[2].recvs, 0);
             assert!(report.proc_stats[4].recvs < 2);
         }
+        for traced in [&fast, &reference] {
+            assert_eq!(traced.messages(), traced.trace.len());
+        }
+        assert!(discarded.trace.is_empty() && discarded_reference.trace.is_empty());
         assert_eq!(fast.trace.len(), reference.trace.len());
     }
 

@@ -23,9 +23,10 @@ fn main() {
     };
 
     // --- Single-message BCAST on threads ---
+    let fib = BcastProgram::evaluator(n, lambda);
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lambda,
+            fib.clone(),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });
@@ -45,9 +46,10 @@ fn main() {
 
     // --- Multi-message REPEAT on threads, order preserved ---
     let m = 4u32;
+    let fib = BcastProgram::evaluator(n, lambda);
     let programs = send_programs_from(n, |id| {
         Box::new(RepeatProgram::new(
-            lambda,
+            fib.clone(),
             Pacing::Greedy,
             (id == ProcId::ROOT).then_some((n as u64, m)),
         )) as Box<dyn Program<MultiPacket> + Send>

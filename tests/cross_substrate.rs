@@ -37,9 +37,10 @@ fn bcast_edges_agree_between_substrates() {
     sim_edges.sort_unstable();
 
     // Threads.
+    let fib = BcastProgram::evaluator(n, lam);
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lam,
+            fib.clone(),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });
@@ -62,10 +63,12 @@ fn pipeline_delivery_multiset_agrees() {
     let sim = postal::algos::run_pipeline(n, m, lam);
     sim.verify().unwrap();
 
+    let fib = PipelineProgram::evaluator(n, m, lam);
     let programs = send_programs_from(n, |id| {
         Box::new(PipelineProgram::new(
-            lam,
+            fib.clone(),
             m,
+            lam,
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<MultiPacket> + Send>
     });
@@ -95,9 +98,10 @@ fn threaded_bcast_time_tracks_model_prediction() {
     let n = 16usize;
     let model_units = runtimes::bcast_time(n as u128, lam).to_f64();
 
+    let fib = BcastProgram::evaluator(n, lam);
     let programs = send_programs_from(n, |id| {
         Box::new(BcastProgram::new(
-            lam,
+            fib.clone(),
             (id == ProcId::ROOT).then_some(n as u64),
         )) as Box<dyn Program<BcastPayload> + Send>
     });

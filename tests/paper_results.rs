@@ -41,7 +41,7 @@ fn theorem6_bcast_is_optimal_and_exact() {
 #[test]
 fn theorem7_sandwich_holds_end_to_end() {
     for lam in lambdas() {
-        let g = GenFib::new(lam);
+        let g = GenFib::covering(lam, 100_000);
         for n in [2u128, 10, 100, 1000, 100_000] {
             let f = g.index(n).to_f64();
             assert!(bounds::index_lower_bound(n, lam) <= f + 1e-9);
@@ -177,7 +177,7 @@ fn exhaustive_small_space_theorem6() {
     for q in 1i128..=4 {
         for p in q..=(5 * q) {
             let lam = Latency::from_ratio(p, q);
-            let fib = GenFib::new(lam);
+            let fib = GenFib::covering(lam, 40);
             for n in 1usize..=40 {
                 let expected = fib.index(n as u128);
                 assert_eq!(run_bcast(n, lam).completion, expected, "sim λ={lam} n={n}");

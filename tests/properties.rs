@@ -25,7 +25,7 @@ proptest! {
 
     #[test]
     fn fib_is_monotone_and_claim1_holds(lam in arb_latency_fine(), n in 1u128..5000) {
-        let g = GenFib::new(lam);
+        let g = GenFib::covering(lam, n);
         let f = g.index_ticks(n);
         // Claim 1(3): F(f(n)) ≥ n.
         prop_assert!(g.value_at_ticks(f) >= n);
@@ -41,7 +41,7 @@ proptest! {
 
     #[test]
     fn theorem7_bounds_hold(lam in arb_latency_fine(), n in 1u128..100_000) {
-        let g = GenFib::new(lam);
+        let g = GenFib::covering(lam, n);
         let f = g.index(n).to_f64();
         prop_assert!(bounds::index_lower_bound(n, lam) <= f + 1e-6);
         prop_assert!(f <= bounds::index_upper_bound(n, lam) + 1e-6);
@@ -59,9 +59,9 @@ proptest! {
     #[test]
     fn cascade_partitions_range(lam in arb_latency_fine(), size in 1u64..2000,
                                 swapped in any::<bool>()) {
-        let g = GenFib::new(lam);
+        let g = GenFib::covering(lam, size as u128);
         let orientation = if swapped { Orientation::Swapped } else { Orientation::Standard };
-        let sends = cascade(&g, size, orientation);
+        let sends: Vec<_> = cascade(&g, size, orientation).collect();
         prop_assert!(postal::algos::cascade::covers_range(&sends, size));
     }
 
